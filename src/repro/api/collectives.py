@@ -50,6 +50,7 @@ from repro.core.packets import Message
 from repro.core.split import equal_split
 from repro.core.strategies import striped_transfer_time
 from repro.util.errors import ConfigurationError
+from repro.util.units import parse_size
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (mpi imports us)
     from repro.api.mpi import Communicator
@@ -894,79 +895,137 @@ def rails_segments(
     )
 
 
-def balanced_schedule(
-    rank: int,
-    matrix: Sequence[Sequence[int]],
-    estimators: Sequence["NicEstimator"],
-) -> List[Tuple[int, int, int]]:
-    """The RailS-style send schedule for one source rank.
+class AlltoallPlan:
+    """One balanced all-to-all call, planned once for the whole world.
 
-    Returns ``(dst, segment_index, segment_bytes)`` triples: every flow
-    in this rank's matrix row cut into rendezvous-sized segments
-    (:func:`rails_segments`), emitted in cycles that visit each pending
-    destination once — ordered largest-remaining-first (ties broken by
-    rank-shifted index, so sources stagger).  Elephant flows start
-    immediately *and* interleave with mice, and each hot destination
-    column is fed continuously from all sources instead of in
-    source-synchronized bursts.  Deterministic, and computed identically
-    at every rank (the traffic matrix is global, as in RailS'
-    traffic-engineering setting).
+    Holds what every rank of the call would otherwise derive on its own:
+    the validated integer traffic ``matrix``, the segment list of each
+    *distinct* flow size (:func:`rails_segments` — cut on first use, so
+    the naive path never pays for it), and the tag ``span`` — the widest
+    flow's segment count.  :class:`~repro.api.mpi.MpiWorld` shares one
+    plan among the ranks of a call; ``source`` (what the ranks passed in)
+    and ``estimators`` are what a rank compares before reusing it.
     """
-    n = len(matrix)
-    queues: Dict[int, deque] = {}
-    remaining: Dict[int, int] = {}
-    for d in range(1, n):
-        dst = (rank + d) % n
-        size = matrix[rank][dst]
-        if size > 0:
-            queues[dst] = deque(enumerate(rails_segments(size, estimators)))
-            remaining[dst] = size
-    order: List[Tuple[int, int, int]] = []
-    while queues:
-        cycle = sorted(
-            queues, key=lambda dst: (-remaining[dst], (dst - rank) % n)
-        )
-        for dst in cycle:
-            q = queues[dst]
-            t, seg = q.popleft()
-            order.append((dst, t, seg))
-            remaining[dst] -= seg
-            if not q:
-                del queues[dst]
-                del remaining[dst]
-    return order
+
+    __slots__ = ("source", "matrix", "estimators", "peak", "_segments")
+
+    def __init__(
+        self,
+        matrix: List[List[int]],
+        estimators: Sequence["NicEstimator"],
+        source: object = None,
+    ) -> None:
+        self.source = source
+        self.matrix = matrix
+        self.estimators = estimators
+        #: largest single flow (the selector's message size)
+        self.peak = max(map(max, matrix), default=0)
+        self._segments: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    @classmethod
+    def from_rows(
+        cls, rows: List[list], estimators: Sequence["NicEstimator"]
+    ) -> "AlltoallPlan":
+        """Validate an n×n matrix of sizes (already shape-checked).
+
+        Raises :class:`ConfigurationError` on an unparsable, negative or
+        self-send entry — the errors :meth:`Communicator.alltoallv`
+        reports.
+        """
+        try:
+            matrix = [[parse_size(v) if v else 0 for v in row] for row in rows]
+        except ValueError as exc:
+            raise ConfigurationError(f"bad traffic matrix entry: {exc}") from exc
+        for i, row in enumerate(matrix):
+            if row[i]:
+                raise ConfigurationError(
+                    f"traffic matrix has a self-send at rank {i} "
+                    "(self-sends are not modelled)"
+                )
+            for j, size in enumerate(row):
+                if size < 0:
+                    raise ConfigurationError(
+                        f"negative traffic matrix entry [{i}][{j}]: {size}"
+                    )
+        return cls(matrix, estimators, source=rows)
+
+    @property
+    def segments(self) -> Dict[int, Tuple[int, ...]]:
+        """Segment sizes per distinct positive flow size."""
+        if self._segments is None:
+            sizes = set().union(*self.matrix)
+            sizes.discard(0)
+            self._segments = {
+                s: tuple(rails_segments(s, self.estimators)) for s in sorted(sizes)
+            }
+        return self._segments
+
+    @property
+    def span(self) -> int:
+        """Tag slots one call needs: the widest flow's segment count."""
+        return max(map(len, self.segments.values()), default=1)
+
+    def schedule(self, rank: int) -> List[Tuple[int, int, int]]:
+        """The RailS-style send schedule for one source rank.
+
+        Returns ``(dst, segment_index, segment_bytes)`` triples: every
+        flow in this rank's matrix row cut into rendezvous-sized segments
+        (:func:`rails_segments`), emitted in cycles that visit each
+        pending destination once — ordered largest-remaining-first (ties
+        broken by rank-shifted index, so sources stagger).  Elephant
+        flows start immediately *and* interleave with mice, and each hot
+        destination column is fed continuously from all sources instead
+        of in source-synchronized bursts.  Deterministic, and identical
+        at every rank (the traffic matrix is global, as in RailS'
+        traffic-engineering setting).
+        """
+        row = self.matrix[rank]
+        n = len(row)
+        segments = self.segments
+        flows = [
+            (dst, t, seg)
+            for dst in range(n)
+            if dst != rank and row[dst] > 0
+            for t, seg in enumerate(segments[row[dst]])
+        ]
+        return list(_cycle_order(flows, rank, n))
+
+    def post_receives(self, comm: "Communicator", tag: int) -> List:
+        """Post one receive per segment addressed to ``comm``'s rank."""
+        r = comm.rank
+        name = comm.peer_name
+        irecv = comm.session.irecv
+        segments = self.segments
+        handles = []
+        for src, row in enumerate(self.matrix):
+            size = row[r]
+            if src == r or size <= 0:
+                continue
+            source = name(src)
+            handles.extend(
+                irecv(source=source, tag=tag + t)
+                for t in range(len(segments[size]))
+            )
+        return handles
 
 
 def alltoallv_rails(
-    comm: "Communicator",
-    matrix: Sequence[Sequence[int]],
-    tag: int,
-    estimators: Sequence["NicEstimator"],
+    comm: "Communicator", plan: AlltoallPlan, tag: int
 ) -> Iterator:
     """RailS-style load-balanced irregular all-to-all.
 
-    All segments are posted up front in :func:`balanced_schedule` order
+    All segments are posted up front in :meth:`AlltoallPlan.schedule` order
     — the source NIC queues preserve it — so elephants drain from the
     first instant, mice slip between their segments instead of waiting
     behind them (or vice versa, whichever order the naive post would
     have imposed), and every segment is big enough to hetero-split
     across all rails.
     """
-    n = comm.size
-    r = comm.rank
     name = comm.peer_name
-    handles = []
-    for src in range(n):
-        if src == r or matrix[src][r] <= 0:
-            continue
-        segs = rails_segments(matrix[src][r], estimators)
-        handles.extend(
-            comm.session.irecv(source=name(src), tag=tag + t)
-            for t in range(len(segs))
-        )
+    handles = plan.post_receives(comm, tag)
     sends = [
         comm.session.isend(name(dst), seg, tag=tag + t)
-        for dst, t, seg in balanced_schedule(r, matrix, estimators)
+        for dst, t, seg in plan.schedule(comm.rank)
     ]
     for msg in sends:
         yield from comm.session.wait(msg)
@@ -974,23 +1033,24 @@ def alltoallv_rails(
         yield from comm.session.wait(handle)
 
 
-def _replan_order(
+def _cycle_order(
     pending: Sequence[Tuple[int, int, int]],
     rank: int,
     n: int,
     price: Optional[Callable[[int], float]] = None,
 ) -> "deque":
-    """Re-cut a remaining send schedule largest-remaining-first.
+    """Order a send schedule in largest-remaining-first cycles.
 
-    Takes the not-yet-sent ``(dst, segment_index, segment_bytes)``
-    triples and rebuilds the cycle order of :func:`balanced_schedule`
-    from what is *actually* left — the destinations that lost the most
-    to the fault lead every cycle.  ``price`` (the selector's per-hop
-    cost, when sampled) re-prices the remaining work against the
-    degraded fabric; without it raw bytes stand in.  Per-destination
-    segment order is preserved, so segment indices — and therefore tags
-    — still match the receives posted up front: a re-plan reorders
-    hops, it never re-sends or re-sizes them.
+    Takes ``(dst, segment_index, segment_bytes)`` triples and emits them
+    in cycles that visit each pending destination once, the destination
+    with the most bytes left first.  On a re-plan the triples are what is
+    *actually* left, so the destinations that lost the most to the fault
+    lead every cycle; ``price`` (the selector's per-hop cost, when
+    sampled) then re-prices the remaining work against the degraded
+    fabric, and without it raw bytes stand in.  Per-destination segment
+    order is preserved, so segment indices — and therefore tags — still
+    match the receives posted up front: a re-plan reorders hops, it
+    never re-sends or re-sizes them.
     """
     queues: Dict[int, deque] = {}
     remaining: Dict[int, int] = {}
@@ -1017,21 +1077,20 @@ def _replan_order(
 
 def alltoallv_rails_replan(
     comm: "Communicator",
-    matrix: Sequence[Sequence[int]],
+    plan: AlltoallPlan,
     tag: int,
-    estimators: Sequence["NicEstimator"],
     window: int = REPLAN_WINDOW,
     price: Optional[Callable[[int], float]] = None,
 ) -> Iterator:
     """Balanced all-to-all with mid-collective re-planning.
 
     Sends ride the same segmentation and initial
-    :func:`balanced_schedule` order as ``rails``, but are paced in
+    :meth:`AlltoallPlan.schedule` order as ``rails``, but are paced in
     windows of ``window`` instead of posted all at once.  After each
     window drains, the checkpoint look reads the fault signals — engine
     retries, degraded sends, fault-injector firings.  Any movement while
     hops remain pending triggers a re-plan: the remaining schedule is
-    re-cut largest-remaining-first (:func:`_replan_order`, re-priced by
+    re-cut largest-remaining-first (:func:`_cycle_order`, re-priced by
     the selector when sampled), the invariant monitor audits byte
     conservation across the cut, and the flight recorder dumps the
     decision.  Completed hops are never re-sent — tags bind each segment
@@ -1041,16 +1100,8 @@ def alltoallv_rails_replan(
     n = comm.size
     r = comm.rank
     name = comm.peer_name
-    handles = []
-    for src in range(n):
-        if src == r or matrix[src][r] <= 0:
-            continue
-        segs = rails_segments(matrix[src][r], estimators)
-        handles.extend(
-            comm.session.irecv(source=name(src), tag=tag + t)
-            for t in range(len(segs))
-        )
-    pending: deque = deque(balanced_schedule(r, matrix, estimators))
+    handles = plan.post_receives(comm, tag)
+    pending: deque = deque(plan.schedule(r))
     planned = sum(seg for _, _, seg in pending)
     accounted = 0
     cluster = comm.world.cluster
@@ -1111,7 +1162,7 @@ def alltoallv_rails_replan(
                     sim.now,
                     {"rank": r, "tag": tag, "replan": replans},
                 )
-            pending = _replan_order(pending, r, n, price)
+            pending = _cycle_order(pending, r, n, price)
     if inv is not None and inv.on:
         inv.on_collective_complete(r, tag, planned, accounted, sim.now)
     for handle in handles:

@@ -387,8 +387,14 @@ class Communicator:
                     tag = self._next_collective_tag(span=span)
                     yield from coll.alltoall_doubling(self, nbytes, tag)
                 else:  # rails
-                    matrix = coll.uniform_matrix(n, nbytes)
-                    yield from self._alltoallv_rails(matrix)
+                    plan = self.world.alltoall_plan(
+                        self._collective_seq,
+                        nbytes,
+                        lambda ests: coll.AlltoallPlan(
+                            coll.uniform_matrix(n, nbytes), ests, source=nbytes
+                        ),
+                    )
+                    yield from self._alltoallv_rails(plan)
                 return
         tag = self._next_collective_tag()
         handles = [
@@ -572,68 +578,37 @@ class Communicator:
             raise ConfigurationError(
                 f"traffic matrix must be {n}x{n} for this world"
             )
-        try:
-            sizes = [
-                [parse_size(v) if v else 0 for v in row] for row in matrix
-            ]
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"bad traffic matrix entry: {exc}"
-            ) from exc
-        for i in range(n):
-            if sizes[i][i]:
-                raise ConfigurationError(
-                    f"traffic matrix has a self-send at rank {i} "
-                    "(self-sends are not modelled)"
-                )
-            for j in range(n):
-                if sizes[i][j] < 0:
-                    raise ConfigurationError(
-                        f"negative traffic matrix entry [{i}][{j}]: {sizes[i][j]}"
-                    )
-        peak = max((s for row in sizes for s in row), default=0)
-        algo = self._resolve_algorithm("alltoallv", algorithm, max(1, peak))
+        rows = [list(row) for row in matrix]
+        plan = self.world.alltoall_plan(
+            self._collective_seq,
+            rows,
+            lambda ests: coll.AlltoallPlan.from_rows(rows, ests),
+        )
+        algo = self._resolve_algorithm("alltoallv", algorithm, max(1, plan.peak))
         if algo == "replan":
-            yield from self._alltoallv_replan(sizes)
+            yield from self._alltoallv_replan(plan)
             return
         if algo in ("rails", "auto"):
-            yield from self._alltoallv_rails(sizes)
+            yield from self._alltoallv_rails(plan)
             return
         tag = self._next_collective_tag()
-        yield from coll.alltoallv_naive(self, sizes, tag)
+        yield from coll.alltoallv_naive(self, plan.matrix, tag)
 
-    def _rails_tag(self, sizes: List[List[int]], ests) -> int:
-        """One tag block spanning the widest flow's segment count."""
-        span = max(
-            (
-                len(coll.rails_segments(s, ests))
-                for row in sizes
-                for s in row
-                if s > 0
-            ),
-            default=1,
-        )
-        return self._next_collective_tag(span=span)
-
-    def _alltoallv_rails(self, sizes: List[List[int]]) -> Iterator:
+    def _alltoallv_rails(self, plan: coll.AlltoallPlan) -> Iterator:
         """Shared rails path for :meth:`alltoall`/:meth:`alltoallv`."""
-        ests = self.world.rail_estimators()
-        tag = self._rails_tag(sizes, ests)
-        yield from coll.alltoallv_rails(self, sizes, tag, ests)
+        tag = self._next_collective_tag(span=plan.span)
+        yield from coll.alltoallv_rails(self, plan, tag)
 
-    def _alltoallv_replan(self, sizes: List[List[int]]) -> Iterator:
+    def _alltoallv_replan(self, plan: coll.AlltoallPlan) -> Iterator:
         """Re-planning balanced path (``algorithm="replan"``)."""
-        ests = self.world.rail_estimators()
-        tag = self._rails_tag(sizes, ests)
+        tag = self._next_collective_tag(span=plan.span)
         profiles = self.world.cluster.profiles
         price = (
             self.world.selector().hop
             if profiles is not None and profiles.estimators
             else None
         )
-        yield from coll.alltoallv_rails_replan(
-            self, sizes, tag, ests, price=price
-        )
+        yield from coll.alltoallv_rails_replan(self, plan, tag, price=price)
 
 
 class MpiWorld:
@@ -660,6 +635,8 @@ class MpiWorld:
             overrides = dict(cluster.collectives)
         self.collectives: Dict[str, str] = coll.validate_overrides(overrides)
         self._selector: Optional[AlgorithmSelector] = None
+        #: balanced all-to-all plans by call sequence: [plan, ranks to come]
+        self._plans: Dict[int, list] = {}
         self.comms: List[Communicator] = [Communicator(self, r) for r in range(size)]
 
     def __repr__(self) -> str:
@@ -681,6 +658,38 @@ class MpiWorld:
         if profiles is None:
             return []
         return [profiles.estimators[t] for t in sorted(profiles.estimators)]
+
+    def alltoall_plan(
+        self,
+        seq: int,
+        source: object,
+        build: Callable[[List], coll.AlltoallPlan],
+    ) -> coll.AlltoallPlan:
+        """The balanced all-to-all plan of the collective call at ``seq``.
+
+        Every rank reaches a call with the same collective sequence
+        number (MPI ordering), so the first rank there builds the plan
+        (``build(estimators)``) and the others reuse it — each only when
+        its own ``source`` (the matrix rows, or the uniform block size)
+        and the rail estimators equal the planned ones.  A rank that
+        differs builds its own, so a bad or mismatched matrix raises on
+        that rank exactly as if nothing were shared.  A plan is dropped
+        once every other rank has reached its call.
+        """
+        estimators = self.rail_estimators()
+        entry = self._plans.get(seq)
+        if entry is None:
+            plan = build(estimators)
+            if self.size > 1:
+                self._plans[seq] = [plan, self.size - 1]
+            return plan
+        plan = entry[0]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._plans[seq]
+        if plan.source == source and plan.estimators == estimators:
+            return plan
+        return build(estimators)
 
     def fabric_health(self) -> Optional[coll.FabricHealth]:
         """Liveness view for feasibility filtering, or ``None`` healthy.

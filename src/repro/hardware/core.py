@@ -19,15 +19,13 @@ way it is applied to NICs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 from repro.simtime import Resource, Simulator, Timeout
 from repro.util.errors import SchedulingError
 
 
-@dataclass
-class CoreWork:
+class CoreWork(NamedTuple):
     """One completed occupancy interval, for utilization accounting."""
 
     start: float

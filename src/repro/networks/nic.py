@@ -28,8 +28,7 @@ are plain simulator events, so faulty runs stay bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.hardware.core import Core
 from repro.hardware.machine import Machine
@@ -44,8 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.networks.wire import Wire
 
 
-@dataclass
-class NicWork:
+class NicWork(NamedTuple):
     """One completed transmit-engine interval (utilization accounting)."""
 
     start: float
@@ -54,8 +52,7 @@ class NicWork:
     size: int
 
 
-@dataclass
-class FaultWindow:
+class FaultWindow(NamedTuple):
     """One closed interval during which a fault held (trace-facing)."""
 
     start: float

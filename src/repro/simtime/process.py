@@ -17,7 +17,7 @@ signal (paper §III-D).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.simtime.simulator import Simulator
 from repro.util.errors import SimulationError
@@ -33,6 +33,8 @@ class Interrupt(Exception):
 
 class Waitable:
     """Base class: something a process may ``yield`` on."""
+
+    __slots__ = ()
 
     def subscribe(self, sim: Simulator, callback) -> None:
         """Arrange for ``callback(value)`` to run when this completes."""
@@ -55,7 +57,7 @@ class SimEvent(Waitable):
         self.name = name
         self.triggered = False
         self.value: Any = None
-        self._callbacks: List[Any] = []
+        self._callbacks: Optional[List[Any]] = []
 
     def __repr__(self) -> str:
         state = "set" if self.triggered else "pending"
@@ -67,7 +69,9 @@ class SimEvent(Waitable):
             raise SimulationError(f"{self!r} triggered twice")
         self.triggered = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
+        # Released, not replaced: a triggered event never queues another
+        # waiter (subscribe schedules directly), so it holds no list.
+        callbacks, self._callbacks = self._callbacks, None
         for cb in callbacks:
             # Deferred (delay-0) delivery keeps trigger() safe to call from
             # anywhere, including from inside another waiter's callback.

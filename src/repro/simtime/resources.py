@@ -13,26 +13,51 @@ are themselves waitables, so processes can write::
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Any, Deque, List, Optional
 
-from repro.simtime.process import SimEvent, Waitable
+from repro.simtime.process import Waitable
 from repro.simtime.simulator import Simulator
 from repro.util.errors import SimulationError
 
 
 class ResourceRequest(Waitable):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot.
 
-    __slots__ = ("resource", "event", "granted", "released")
+    The request is its own one-shot waitable: waiters resume (in
+    subscription order, at delay 0) with the request as payload once it
+    is granted.  It holds no inner event and no back-reference to one,
+    so a finished request is freed by reference counting alone, never by
+    the cyclic collector — runs create one per core occupancy and NIC
+    transmit.
+    """
+
+    __slots__ = ("resource", "granted", "released", "_callbacks")
 
     def __init__(self, resource: "Resource") -> None:
         self.resource = resource
-        self.event = SimEvent(resource.sim, name=f"{resource.name}.grant")
         self.granted = False
         self.released = False
+        #: waiters subscribed before the grant (allocated on first use)
+        self._callbacks: Optional[List[Any]] = None
 
     def subscribe(self, sim: Simulator, callback) -> None:
-        self.event.subscribe(sim, callback)
+        if sim is not self.resource.sim:
+            raise SimulationError("waiting on an event from another simulator")
+        if self.granted:
+            sim.schedule(0.0, callback, self)
+        elif self._callbacks is None:
+            self._callbacks = [callback]
+        else:
+            self._callbacks.append(callback)
+
+    def _grant(self) -> None:
+        self.granted = True
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            schedule = self.resource.sim.schedule
+            for cb in callbacks:
+                schedule(0.0, cb, self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request (e.g. a timed-out waiter)."""
@@ -76,8 +101,7 @@ class Resource:
         req = ResourceRequest(self)
         if self.in_use < self.capacity:
             self.in_use += 1
-            req.granted = True
-            req.event.trigger(req)
+            req.granted = True  # no waiter can have subscribed yet
         else:
             self._waiting.append(req)
         return req
@@ -90,9 +114,7 @@ class Resource:
             raise SimulationError(f"double release on {self.name}")
         req.released = True
         if self._waiting:
-            nxt = self._waiting.popleft()
-            nxt.granted = True
-            nxt.event.trigger(nxt)
+            self._waiting.popleft()._grant()
         else:
             self.in_use -= 1
 

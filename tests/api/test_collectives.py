@@ -270,7 +270,7 @@ class TestAlltoallv:
     def test_balanced_schedule_orders_largest_first(self, profiles):
         ests = profiles.estimators
         matrix = coll.moe_matrix(8, 64 * KiB, hot=[5], skew=8)
-        schedule = coll.balanced_schedule(0, matrix, list(ests.values()))
+        schedule = coll.AlltoallPlan(matrix, list(ests.values())).schedule(0)
         sent = sum(nbytes for _, _, nbytes in schedule)
         assert sent == sum(matrix[0])
         # The hot destination leads the schedule.

@@ -8,6 +8,9 @@ completes with zero invariant violations and beats the fault-oblivious
 one.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import ClusterBuilder
@@ -121,6 +124,15 @@ class TestSpineOutage:
         assert world.cluster.invariants.checks_performed > 0
         snapshot = world.cluster.metrics_snapshot()
         assert snapshot["counters"]["collective.replans"] >= 1
+
+    def test_replan_makespan_matches_bench_pr10(self, profiles):
+        # The committed BENCH_PR10 scenario (2614.5 us): the per-world
+        # plan must leave every re-planned hop where it was.
+        bench = Path(__file__).resolve().parents[2] / "BENCH_PR10.json"
+        pinned = json.loads(bench.read_text())["degraded"]["replan"]
+        world = fat_tree_world(profiles, schedule=spine_outage())
+        assert run_alltoallv(world, self.MATRIX(), "replan") == pinned["makespan_us"]
+        assert round(pinned["makespan_us"], 1) == 2614.5
 
     def test_adaptive_routing_reroutes_flows(self, profiles):
         from repro.networks.switch import FatTreeSwitch

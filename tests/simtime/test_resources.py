@@ -1,8 +1,10 @@
 """Unit tests for FIFO resources (the core-occupancy primitive)."""
 
+import gc
+
 import pytest
 
-from repro.simtime import Resource, Simulator, Timeout
+from repro.simtime import Resource, ResourceRequest, SimEvent, Simulator, Timeout
 from repro.util.errors import SimulationError
 
 
@@ -123,3 +125,69 @@ class TestResourceErrors:
         res.release(r1)
         assert res.in_use == 2  # queued waiter got the slot
         assert res.queued == 0
+
+
+class TestGrantRecords:
+    """Requests are their own waitables and leave no reference cycles."""
+
+    def test_yield_returns_the_request_and_grants_stay_fifo(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        got = []
+
+        def w(tag):
+            req = res.request()
+            granted = yield req
+            assert granted is req and req.granted
+            got.append((tag, sim.now))
+            yield Timeout(1.0)
+            res.release(req)
+
+        for tag in "abcd":
+            sim.spawn(w(tag))
+        sim.run()
+        assert got == [("a", 0.0), ("b", 1.0), ("c", 2.0), ("d", 3.0)]
+
+    def test_waiters_of_one_request_resume_in_subscription_order(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        first = res.request()
+        queued = res.request()
+        woken = []
+        queued.subscribe(sim, lambda v: woken.append(("x", v)))
+        queued.subscribe(sim, lambda v: woken.append(("y", v)))
+        res.release(first)
+        assert woken == []  # delivery is deferred to the event loop
+        sim.run()
+        assert woken == [("x", queued), ("y", queued)]
+        queued.subscribe(sim, lambda v: woken.append(("late", v)))
+        sim.run()
+        assert woken[-1] == ("late", queued)
+
+    def test_subscribe_from_another_simulator_rejected(self):
+        res = Resource(Simulator())
+        with pytest.raises(SimulationError):
+            res.request().subscribe(Simulator(), lambda v: None)
+
+    def test_contended_run_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sim = Simulator()
+            res = Resource(sim, capacity=2, name="core")
+            log = []
+            for i in range(50):
+                sim.spawn(worker(sim, res, 1.0 + i % 3, log, i))
+            sim.run()
+            assert len(log) == 100
+            del sim, res, log
+            gc.collect()
+            leaked = [
+                type(o).__name__
+                for o in gc.garbage
+                if isinstance(o, (ResourceRequest, SimEvent))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
