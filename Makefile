@@ -8,11 +8,17 @@ JOBS ?= 0
 
 .PHONY: test bench-smoke perf bench check faults-demo chaos chaos-wide \
         chaos-silent chaos-fabric fabric-demo calibration-demo \
-        collectives-demo bench-parallel soak-parallel
+        collectives-demo bench-parallel soak-parallel loc
 
 # Tier-1 verify (the ROADMAP contract).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Non-blank line counts of the Python sources under src/ and tests/.
+loc:
+	@for d in src tests; do \
+		printf '%-6s %s\n' $$d "$$(find $$d -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"; \
+	done
 
 # The pre-merge gate: tier-1 tests plus the perf smoke guard.
 check: test bench-smoke

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
+from repro.api.config import SECTIONS
+from repro.core.calibration import CalibrationController, install_calibration
 from repro.core.engine import NmadEngine
 from repro.core.invariants import InvariantMonitor, InvariantViolation
 from repro.core.sampling import NetworkSampler, ProfileStore  # noqa: F401 (re-export)
@@ -29,6 +33,9 @@ from repro.simtime import Simulator
 from repro.util.errors import ConfigurationError
 
 StrategySpec = Union[str, Strategy, Callable[[], Strategy]]
+
+#: every section's normalized value when the builder does not set it
+_DEFAULTS = {section: normalize(None) for section, normalize in SECTIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,8 @@ class Cluster:
         #: the default; see docs/calibration.md)
         self.calibration: Optional[Any] = None
         #: the declarative description this cluster was built from, when
-        #: it came through :meth:`ClusterBuilder.fabric` (None otherwise)
+        #: it came through :meth:`ClusterBuilder.fabric` (as
+        #: ``paper_testbed`` and ``MpiWorld.create`` do; None otherwise)
         self.fabric: Optional[Fabric] = None
         #: default collective-algorithm overrides for MPI worlds wrapping
         #: this cluster (set via :meth:`ClusterBuilder.collectives`)
@@ -346,34 +354,36 @@ class Cluster:
 
 
 class ClusterBuilder:
-    """Fluent builder for simulated multirail clusters."""
+    """Fluent builder for simulated multirail clusters.
+
+    Every section method goes through the section's normalizer in
+    :data:`repro.api.config.SECTIONS` — the same one a config file's
+    section goes through — and stores the normalized value.
+    """
 
     def __init__(self, strategy: StrategySpec = "hetero_split") -> None:
         self.sim = Simulator()
-        self._strategy = strategy
-        self._per_node_strategy: Dict[str, StrategySpec] = {}
         self._machines: Dict[str, Machine] = {}
         self._rails: List[Tuple[str, str, Driver]] = []
         #: (nodes, driver, latency, stage spec) — spec {} = flat switch,
-        #: {"pod_size": ..., "spines": ...} = two-stage fat tree
+        #: {"pod_size": ..., "spines": ..., "adaptive": ...} = fat tree
         self._switches: List[
             Tuple[Tuple[str, ...], Driver, float, Dict[str, Any]]
         ] = []
         self._fabric: Optional[Fabric] = None
-        self._collectives: Dict[str, str] = {}
-        self._sample = True
-        self._sampler: Optional[NetworkSampler] = None
-        self._profiles: Optional[ProfileStore] = None
-        self._app_core_id = 0
-        self._multicore_rx = False
-        self._faults: Optional[FaultSchedule] = None
-        self._resilience: Dict[str, Any] = {}
-        self._observability: Optional[Dict[str, Any]] = None
-        self._invariants: Optional[Dict[str, Any]] = None
-        self._calibration: Optional[Dict[str, Any]] = None
+        #: normalized description sections, by name
+        self._sections: Dict[str, Any] = dict(_DEFAULTS)
+        self._set("strategy", strategy)
+
+    def _set(self, section: str, value: Any) -> "ClusterBuilder":
+        self._sections[section] = SECTIONS[section](value)
+        return self
+
+    def _merge(self, section: str, entries: Dict[str, Any]) -> "ClusterBuilder":
+        return self._set(section, {**self._sections[section], **entries})
 
     # ------------------------------------------------------------------ #
-    # configuration
+    # topology
     # ------------------------------------------------------------------ #
 
     def add_node(
@@ -389,6 +399,24 @@ class ClusterBuilder:
         )
         return self
 
+    def _driver(
+        self,
+        driver: Union[str, Driver],
+        nodes: Sequence[str],
+        overrides: Mapping[str, Any],
+    ) -> Driver:
+        """Resolve a rail's driver and check its nodes were added."""
+        if isinstance(driver, str):
+            driver = make_driver(driver, **overrides)
+        elif overrides:
+            raise ConfigurationError(
+                "driver overrides only apply to registry-name rails"
+            )
+        for node in nodes:
+            if node not in self._machines:
+                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        return driver
+
     def add_rail(
         self,
         driver: Union[str, Driver],
@@ -397,15 +425,7 @@ class ClusterBuilder:
         **driver_overrides,
     ) -> "ClusterBuilder":
         """Join two nodes with one rail of the given technology."""
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name rails"
-            )
-        for node in (node_a, node_b):
-            if node not in self._machines:
-                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        driver = self._driver(driver, (node_a, node_b), driver_overrides)
         self._rails.append((node_a, node_b, driver))
         return self
 
@@ -422,74 +442,24 @@ class ClusterBuilder:
         through a switch contend for the destination's port — the incast
         behaviour of real (e.g. T2K-style) fabrics.
         """
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name fabrics"
-            )
         if len(set(nodes)) < 2:
             raise ConfigurationError("a switch needs at least two distinct nodes")
-        for node in nodes:
-            if node not in self._machines:
-                raise ConfigurationError(f"unknown node {node!r}; add_node first")
+        driver = self._driver(driver, nodes, driver_overrides)
         self._switches.append((tuple(nodes), driver, switch_latency, {}))
-        return self
-
-    def add_fat_tree(
-        self,
-        driver: Union[str, Driver],
-        nodes: List[str],
-        switch_latency: float = 0.3,
-        pod_size: int = 4,
-        spines: int = 2,
-        adaptive: bool = True,
-        **driver_overrides,
-    ) -> "ClusterBuilder":
-        """Join several nodes through a two-stage fat tree (one NIC each).
-
-        Like :meth:`add_switch` plus the multi-stage effects:
-        ``pod_size`` nodes share an edge pod (intra-pod traffic behaves
-        exactly like a flat switch), and inter-pod packets serialize on
-        one of ``spines`` shared uplinks chosen by a static flow hash —
-        see :class:`repro.networks.switch.FatTreeSwitch`.  ``adaptive``
-        re-routes flows off down/degraded spines (the default; identical
-        to the static hash until a fabric fault fires).
-        """
-        if isinstance(driver, str):
-            driver = make_driver(driver, **driver_overrides)
-        elif driver_overrides:
-            raise ConfigurationError(
-                "driver overrides only apply to registry-name fabrics"
-            )
-        if len(set(nodes)) < 2:
-            raise ConfigurationError("a fat tree needs at least two distinct nodes")
-        for node in nodes:
-            if node not in self._machines:
-                raise ConfigurationError(f"unknown node {node!r}; add_node first")
-        if pod_size < 1:
-            raise ConfigurationError(f"pod_size must be >= 1, got {pod_size}")
-        if spines < 1:
-            raise ConfigurationError(f"spines must be >= 1, got {spines}")
-        self._switches.append(
-            (
-                tuple(nodes),
-                driver,
-                switch_latency,
-                {"pod_size": pod_size, "spines": spines, "adaptive": adaptive},
-            )
-        )
         return self
 
     def fabric(self, fabric: Union[Fabric, Dict[str, Any]]) -> "ClusterBuilder":
         """Materialize a :class:`~repro.hardware.topology.Fabric`.
 
         Adds every named node and wires each :class:`FabricRail` as a
-        full wire mesh, one flat switch, or one fat tree — the
-        declarative front-door over :meth:`add_node` / :meth:`add_rail` /
-        :meth:`add_switch` / :meth:`add_fat_tree`.  The built
-        :class:`Cluster` remembers the description as ``cluster.fabric``
-        (``cli topology`` and :meth:`MpiWorld.from_cluster` read it).
+        full wire mesh, one flat switch, or one two-stage fat tree
+        (``pod_size`` nodes per edge pod, inter-pod packets serialized on
+        one of ``spines`` uplinks — see
+        :class:`repro.networks.switch.FatTreeSwitch`).  Wire-mesh NICs
+        are numbered pair-major: every wire rail of a node pair before
+        the next pair.  The built :class:`Cluster` remembers the
+        description as ``cluster.fabric`` (``cli topology`` and
+        :meth:`MpiWorld.from_cluster` read it).
         """
         if isinstance(fabric, dict):
             fabric = Fabric.from_dict(fabric)
@@ -499,47 +469,43 @@ class ClusterBuilder:
             )
         for name in fabric.nodes:
             self.add_node(name)
-        nodes = list(fabric.nodes)
+        nodes = fabric.nodes
+        wires = [rail for rail in fabric.rails if rail.kind == "wire"]
+        for i, node_a in enumerate(nodes):
+            for node_b in nodes[i + 1:]:
+                for rail in wires:
+                    self.add_rail(
+                        rail.technology, node_a, node_b, **rail.overrides
+                    )
         for rail in fabric.rails:
             if rail.kind == "wire":
-                for i, node_a in enumerate(nodes):
-                    for node_b in nodes[i + 1:]:
-                        self.add_rail(
-                            rail.technology, node_a, node_b, **rail.overrides
-                        )
-            elif rail.kind == "switch":
-                self.add_switch(
-                    rail.technology,
-                    nodes,
-                    switch_latency=rail.switch_latency,
-                    **rail.overrides,
-                )
-            else:  # fat_tree (FabricRail validated the kind already)
-                self.add_fat_tree(
-                    rail.technology,
-                    nodes,
-                    switch_latency=rail.switch_latency,
-                    pod_size=fabric.pod_size_of(rail),
-                    spines=rail.spines,
-                    adaptive=rail.adaptive,
-                    **rail.overrides,
-                )
+                continue
+            stages: Dict[str, Any] = {}
+            if rail.kind == "fat_tree":
+                stages = {
+                    "pod_size": fabric.pod_size_of(rail),
+                    "spines": rail.spines,
+                    "adaptive": rail.adaptive,
+                }
+            driver = self._driver(rail.technology, nodes, rail.overrides)
+            self._switches.append((nodes, driver, rail.switch_latency, stages))
         self._fabric = fabric
         return self
+
+    # ------------------------------------------------------------------ #
+    # description sections (repro.api.config.SECTIONS)
+    # ------------------------------------------------------------------ #
 
     def collectives(self, overrides: Dict[str, str]) -> "ClusterBuilder":
         """Default collective-algorithm choices for MPI worlds over this
         cluster (``{"alltoall": "ring", ...}``; validated now — unknown
         names raise with the valid choices listed)."""
-        from repro.api.collectives import validate_overrides
-
-        self._collectives = validate_overrides(overrides)
-        return self
+        return self._set("collectives", overrides)
 
     def strategy_for(self, node: str, strategy: StrategySpec) -> "ClusterBuilder":
-        """Override the strategy for one node (defaults apply elsewhere)."""
-        self._per_node_strategy[node] = strategy
-        return self
+        """Override the strategy for one node (defaults apply elsewhere);
+        :meth:`build` rejects a node the cluster does not have."""
+        return self._merge("per_node_strategy", {node: strategy})
 
     def sampling(
         self,
@@ -552,20 +518,18 @@ class ClusterBuilder:
         ``profiles`` short-circuits measurement with pre-recorded tables
         (the real system loads its sampling files at launch, too).
         """
-        self._sample = enabled
-        self._sampler = sampler
-        self._profiles = profiles
-        return self
+        spec = {"sampler": sampler, "profiles": profiles}
+        return self._set("sampling", spec if enabled else False)
 
     def app_core(self, core_id: int) -> "ClusterBuilder":
-        self._app_core_id = core_id
-        return self
+        """The core the application runs on, in ``[0, cores)`` of every
+        node (checked at :meth:`build`)."""
+        return self._merge("options", {"app_core": core_id})
 
     def multicore_rx(self, enabled: bool = True) -> "ClusterBuilder":
         """Let receive-side progression spill to idle cores (paper's
         future-work improvement; ablation A7 quantifies it)."""
-        self._multicore_rx = enabled
-        return self
+        return self._merge("options", {"multicore_rx": enabled})
 
     def faults(
         self, schedule: Union[FaultSchedule, Dict[str, Any], None]
@@ -576,115 +540,45 @@ class ClusterBuilder:
         form (the config-file representation), or ``None`` to clear a
         previously set schedule.
         """
-        if schedule is None:
-            self._faults = None
-        elif isinstance(schedule, FaultSchedule):
-            self._faults = schedule
-        elif isinstance(schedule, dict):
-            self._faults = FaultSchedule.from_dict(schedule)
-        else:
-            raise ConfigurationError(
-                f"faults() wants a FaultSchedule or dict, got {schedule!r}"
-            )
-        return self
+        return self._set("faults", schedule)
 
-    def resilience(
-        self,
-        timeout: Union[float, str, None] = None,
-        max_retries: int = 8,
-        backoff_base: Union[float, str, None] = None,
-        backoff_factor: float = 2.0,
-        backoff_max: Union[float, str, None] = None,
-    ) -> "ClusterBuilder":
+    def resilience(self, **knobs) -> "ClusterBuilder":
         """Configure every engine's timeout/retry behaviour.
 
-        ``timeout`` enables the per-message watchdog (``None`` keeps it
-        off — the default, and the bit-identical healthy path).  Time
-        values accept ``"200us"`` / ``"1.5ms"`` strings.  See
-        :class:`~repro.core.engine.NmadEngine` for the full contract.
+        ``knobs`` are :class:`~repro.core.engine.NmadEngine`'s
+        ``timeout`` (the per-message watchdog; unset keeps it off — the
+        default, and the bit-identical healthy path), ``max_retries``,
+        ``backoff_base``, ``backoff_factor`` and ``backoff_max``.  Time
+        values accept ``"200us"`` / ``"1.5ms"`` strings.
         """
-        self._resilience = {
-            "timeout": timeout,
-            "max_retries": max_retries,
-            "backoff_base": backoff_base,
-            "backoff_factor": backoff_factor,
-            "backoff_max": backoff_max,
-        }
-        return self
+        return self._set("resilience", knobs)
 
-    def observability(
-        self,
-        enabled: bool = True,
-        trace: bool = True,
-        metrics: bool = True,
-        accuracy: bool = True,
-        trace_limit: Optional[int] = None,
-        flight: bool = True,
-        flight_capacity: Optional[int] = None,
-        collectives: bool = True,
-    ) -> "ClusterBuilder":
+    def observability(self, enabled: bool = True, **knobs) -> "ClusterBuilder":
         """Attach a cluster-wide :class:`repro.obs.Observability` hub.
 
         Off by default — and the disabled path is bit-identical to a
         build without this call (all hooks are record-only and guarded).
-        ``trace``/``metrics``/``accuracy``/``flight``/``collectives``
-        toggle the telemetry planes individually; ``trace_limit`` bounds
-        the trace event buffer (oldest runs keep, newest drop, counted
-        deterministically); ``flight_capacity`` sizes the flight
-        recorder's event ring (see :mod:`repro.obs.flight`).
+        ``knobs`` are the hub's keywords: ``trace``/``metrics``/
+        ``accuracy``/``flight``/``collectives`` toggle the telemetry
+        planes individually; ``trace_limit`` bounds the trace event
+        buffer (oldest runs keep, newest drop, counted deterministically);
+        ``flight_capacity`` sizes the flight recorder's event ring (see
+        :mod:`repro.obs.flight`).
         """
-        if not enabled:
-            self._observability = None
-            return self
-        spec: Dict[str, Any] = {
-            "trace": trace,
-            "metrics": metrics,
-            "accuracy": accuracy,
-            "flight": flight,
-            "collectives": collectives,
-        }
-        if trace_limit is not None:
-            if trace_limit < 1:
-                raise ConfigurationError(
-                    f"trace_limit must be positive, got {trace_limit}"
-                )
-            spec["trace_limit"] = trace_limit
-        if flight_capacity is not None:
-            if flight_capacity < 1:
-                raise ConfigurationError(
-                    f"flight_capacity must be positive, got {flight_capacity}"
-                )
-            spec["flight_capacity"] = flight_capacity
-        self._observability = spec
-        return self
+        return self._set("observability", knobs if enabled else False)
 
-    def invariants(
-        self,
-        enabled: bool = True,
-        trail_depth: Optional[int] = None,
-        strict_checksums: bool = True,
-    ) -> "ClusterBuilder":
+    def invariants(self, enabled: bool = True, **knobs) -> "ClusterBuilder":
         """Attach a cluster-wide :class:`repro.core.invariants.InvariantMonitor`.
 
         Off by default — and, like :meth:`observability`, the disabled
         path is bit-identical to a build without this call: the monitor
         is purely passive (it reads state and raises, never schedules
         events), so enabling it moves no simulated timestamp either.
-        ``trail_depth`` bounds the violation-report observation trail;
-        ``strict_checksums`` toggles per-chunk wire-checksum verification.
+        ``knobs``: ``trail_depth`` bounds the violation-report
+        observation trail; ``strict_checksums`` toggles per-chunk
+        wire-checksum verification.
         """
-        if not enabled:
-            self._invariants = None
-            return self
-        spec: Dict[str, Any] = {"strict_checksums": strict_checksums}
-        if trail_depth is not None:
-            if trail_depth < 1:
-                raise ConfigurationError(
-                    f"trail_depth must be positive, got {trail_depth}"
-                )
-            spec["trail_depth"] = trail_depth
-        self._invariants = spec
-        return self
+        return self._set("invariants", knobs if enabled else False)
 
     def calibration(self, enabled: bool = True, **knobs) -> "ClusterBuilder":
         """Attach the closed-loop drift defense (docs/calibration.md).
@@ -696,14 +590,14 @@ class ClusterBuilder:
         drifting rails online, and degrades the split strategy along the
         FULL → PARTIAL → SINGLE fallback ladder while confidence is low.
 
-        ``knobs`` are forwarded to
+        ``knobs`` (:data:`repro.core.calibration.KNOB_NAMES`) are
+        forwarded to
         :class:`repro.core.calibration.CalibrationController` (``blend``,
         ``auto_resample``, ``clamp_frac``, ``resample_repetitions``,
         detector knobs such as ``drift_threshold``/``cooldown``, and
         ``ladder_knobs``).
         """
-        self._calibration = dict(knobs) if enabled else None
-        return self
+        return self._set("calibration", knobs if enabled else False)
 
     # ------------------------------------------------------------------ #
     # build
@@ -716,6 +610,20 @@ class ClusterBuilder:
             raise ConfigurationError("cluster has no nodes")
         if not self._rails and not self._switches:
             raise ConfigurationError("cluster has no rails")
+        spec = self._sections
+        app_core = spec["options"]["app_core"]
+        for name, machine in self._machines.items():
+            if not 0 <= app_core < len(machine.cores):
+                raise ConfigurationError(
+                    f"app_core {app_core} outside [0, {len(machine.cores)}) "
+                    f"on node {name!r}"
+                )
+        unknown = sorted(set(spec["per_node_strategy"]) - set(self._machines))
+        if unknown:
+            raise ConfigurationError(
+                f"per_node_strategy names unknown node(s) {unknown}; "
+                f"have {sorted(self._machines)}"
+            )
         rail_count: Dict[str, int] = {name: 0 for name in self._machines}
         for node_a, node_b, driver in self._rails:
             idx_a, idx_b = rail_count[node_a], rail_count[node_b]
@@ -735,7 +643,7 @@ class ClusterBuilder:
                     switch_latency=latency,
                     pod_size=stages["pod_size"],
                     spines=stages["spines"],
-                    adaptive=stages.get("adaptive", True),
+                    adaptive=stages["adaptive"],
                 )
             else:
                 switch = Switch(name=f"switch{s_idx}", switch_latency=latency)
@@ -750,53 +658,51 @@ class ClusterBuilder:
                 )
                 rail_count[node] += 1
 
-        profiles = self._profiles
-        if profiles is None and self._sample:
+        sampling = spec["sampling"]
+        profiles = None if sampling is None else sampling.get("profiles")
+        if sampling is not None and profiles is None:
             drivers = [d for _, _, d in self._rails]
             drivers += [d for _, d, _, _ in self._switches]
-            profiles = ProfileStore.sample_drivers(drivers, sampler=self._sampler)
+            profiles = ProfileStore.sample_drivers(
+                drivers, sampler=sampling.get("sampler")
+            )
 
         obs = (
-            Observability(**self._observability)
-            if self._observability is not None
+            Observability(**spec["observability"])
+            if spec["observability"] is not None
             else NULL_OBS
         )
         inv = (
-            InvariantMonitor(**self._invariants)
-            if self._invariants is not None
+            InvariantMonitor(**spec["invariants"])
+            if spec["invariants"] is not None
             else None
         )
         engines: Dict[str, NmadEngine] = {}
         for name, machine in self._machines.items():
-            spec = self._per_node_strategy.get(name, self._strategy)
+            strategy = spec["per_node_strategy"].get(name, spec["strategy"])
             engines[name] = NmadEngine(
                 machine,
-                strategy=_resolve_strategy(spec),
+                strategy=_resolve_strategy(strategy),
                 estimators=profiles.estimators if profiles else None,
-                app_core_id=self._app_core_id,
-                multicore_rx=self._multicore_rx,
+                app_core_id=app_core,
+                multicore_rx=spec["options"]["multicore_rx"],
                 obs=obs,
                 invariants=inv,
-                **self._resilience,
+                **(spec["resilience"] or {}),
             )
         cluster = Cluster(self.sim, self._machines, engines, profiles)
         cluster.obs = obs
         cluster.invariants = inv
         cluster.fabric = self._fabric
-        cluster.collectives = dict(self._collectives)
-        if self._calibration is not None:
-            from repro.core.calibration import (
-                CalibrationController,
-                install_calibration,
-            )
-
+        cluster.collectives = dict(spec["collectives"])
+        if spec["calibration"] is not None:
             install_calibration(
-                cluster, CalibrationController(**self._calibration)
+                cluster, CalibrationController(**spec["calibration"])
             )
-        if self._faults is not None:
+        if spec["faults"] is not None:
             # install_faults reads cluster.invariants, set just above, so
             # the injector's on_fault hook sees the same monitor.
-            install_faults(cluster, self._faults)
+            install_faults(cluster, spec["faults"])
         return cluster
 
     # ------------------------------------------------------------------ #
@@ -815,10 +721,8 @@ class ClusterBuilder:
         ``rails`` can be widened (e.g. ``("myri10g", "quadrics",
         "infiniband")``) for the n-rail ablations.
         """
-        builder = cls(strategy=strategy)
-        builder.add_node("node0", topology=CpuTopology.paper_testbed())
-        builder.add_node("node1", topology=CpuTopology.paper_testbed())
-        for rail in rails:
-            builder.add_rail(rail, "node0", "node1")
-        builder.sampling(enabled=sample)
-        return builder
+        return (
+            cls(strategy=strategy)
+            .fabric(Fabric.paper_testbed(rails))
+            .sampling(enabled=sample)
+        )

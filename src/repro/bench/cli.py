@@ -416,6 +416,7 @@ def _cmd_sweep(
 ) -> int:
     from repro.bench.parallel import parallel_sweep_oneway, resolve_jobs
     from repro.bench.runners import sweep_oneway
+    from repro.util.errors import ConfigurationError
     from repro.util.units import parse_size
 
     try:
@@ -445,7 +446,7 @@ def _cmd_sweep(
                 metric=metric,
                 rails=rail_tuple,
             )
-    except KeyError as exc:
+    except (ConfigurationError, KeyError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(result.render())

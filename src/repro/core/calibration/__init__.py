@@ -15,6 +15,7 @@ this package.  See ``docs/calibration.md``.
 """
 
 from repro.core.calibration.controller import (
+    KNOB_NAMES,
     NULL_CALIBRATION,
     CalibrationController,
     NullCalibration,
@@ -29,6 +30,7 @@ __all__ = [
     "CalibrationController",
     "DriftDetector",
     "FallbackLadder",
+    "KNOB_NAMES",
     "NULL_CALIBRATION",
     "NullCalibration",
     "ResampleRecord",

@@ -30,6 +30,7 @@ a pure function of simulated state.
 
 from __future__ import annotations
 
+import inspect
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.calibration.drift import DriftDetector
@@ -476,6 +477,17 @@ class CalibrationController:
                 nic.machine.name, "calibration", name, nic.sim.now,
                 cat="calibration", args=args,
             )
+
+
+#: every knob ``CalibrationController(**knobs)`` takes by name: its own
+#: parameters (minus a pre-built ``detector``) plus the detector's — the
+#: keys of ``ClusterBuilder.calibration`` and the config section
+KNOB_NAMES = frozenset(
+    name
+    for cls in (CalibrationController, DriftDetector)
+    for name, param in inspect.signature(cls).parameters.items()
+    if param.kind is param.POSITIONAL_OR_KEYWORD and name != "detector"
+)
 
 
 def install_calibration(cluster, controller: CalibrationController) -> None:

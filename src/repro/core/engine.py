@@ -64,6 +64,12 @@ from repro.util.units import parse_size, parse_time
 
 _TERMINAL = (MessageStatus.COMPLETE, MessageStatus.DEGRADED)
 
+#: the watchdog/retry keywords of :class:`NmadEngine` — the keys of
+#: ``ClusterBuilder.resilience`` and the config ``resilience`` section
+RESILIENCE_KNOBS = frozenset(
+    {"timeout", "max_retries", "backoff_base", "backoff_factor", "backoff_max"}
+)
+
 
 @dataclass(frozen=True)
 class RetryRecord:

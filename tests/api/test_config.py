@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.api import load_cluster
-from repro.api.config import builder_from_config
+from repro.api import ClusterBuilder, MpiWorld, load_cluster
+from repro.api.config import SECTIONS, builder_from_config
 from repro.bench.runners import default_profiles
-from repro.core import MessageStatus
+from repro.core import MessageStatus, ProfileStore
 from repro.util.errors import ConfigurationError
 from repro.util.units import MiB
 
@@ -193,3 +193,184 @@ class TestFaultsSection:
             builder_from_config(paper_config(resilience="fast please"))
         with pytest.raises(ConfigurationError, match="unknown resilience keys"):
             builder_from_config(paper_config(resilience={"retry_hard": True}))
+
+
+class TestUnknownKeys:
+    def test_unknown_option_rejected(self):
+        with pytest.raises(ConfigurationError) as exc:
+            builder_from_config(paper_config(options={"multicore_rX": True}))
+        msg = str(exc.value)
+        assert "unknown options keys ['multicore_rX']" in msg
+        assert "known: ['app_core', 'multicore_rx']" in msg
+
+    def test_unknown_node_key_rejected(self):
+        config = paper_config()
+        config["nodes"][0]["socket"] = 4
+        with pytest.raises(ConfigurationError) as exc:
+            builder_from_config(config)
+        msg = str(exc.value)
+        assert "unknown node entry keys ['socket']" in msg
+        assert "'cores_per_socket'" in msg and "'sockets'" in msg
+
+    def test_unknown_rail_key_rejected(self):
+        config = paper_config()
+        config["rails"][1]["overide"] = {"wire_latency": 9.0}
+        with pytest.raises(ConfigurationError) as exc:
+            builder_from_config(config)
+        msg = str(exc.value)
+        assert "unknown rail entry keys ['overide']" in msg
+        assert "known: ['between', 'driver', 'overrides']" in msg
+
+
+class TestBuildChecks:
+    def test_per_node_strategy_for_unknown_node(self):
+        with pytest.raises(ConfigurationError, match="unknown node.*node7"):
+            load_cluster(paper_config(per_node_strategy={"node7": "greedy"}))
+        with pytest.raises(ConfigurationError, match="unknown node.*node7"):
+            ClusterBuilder.paper_testbed().strategy_for("node7", "greedy").build()
+
+    @pytest.mark.parametrize("core", [99, 4, -1])
+    def test_app_core_out_of_range(self, core):
+        match = rf"app_core {core} outside \[0, 4\)"
+        with pytest.raises(ConfigurationError, match=match):
+            load_cluster(paper_config(options={"app_core": core}))
+        with pytest.raises(ConfigurationError, match=match):
+            ClusterBuilder.paper_testbed().app_core(core).build()
+
+    def test_last_core_still_accepted(self, profile_file):
+        cluster = load_cluster(
+            paper_config(
+                options={"app_core": 3}, sampling={"profile_file": profile_file}
+            )
+        )
+        assert cluster.engine("node1").app_core.core_id == 3
+
+
+#: section -> (a bad value for the config file, the same mistake made
+#: through the builder method)
+PARITY_CASES = {
+    "strategy": (
+        "warp_drive",
+        lambda: ClusterBuilder.paper_testbed(strategy="warp_drive"),
+    ),
+    "per_node_strategy": (
+        {"node7": "greedy"},
+        lambda: ClusterBuilder.paper_testbed().strategy_for("node7", "greedy"),
+    ),
+    "options": (
+        {"app_core": 99},
+        lambda: ClusterBuilder.paper_testbed().app_core(99),
+    ),
+    "sampling": (
+        {"profiles": "profiles.json"},
+        lambda: ClusterBuilder.paper_testbed().sampling(profiles="profiles.json"),
+    ),
+    "collectives": (
+        {"alltoall": "butterfly"},
+        lambda: ClusterBuilder.paper_testbed().collectives(
+            {"alltoall": "butterfly"}
+        ),
+    ),
+    "faults": (
+        ["not", "a", "schedule"],
+        lambda: ClusterBuilder.paper_testbed().faults(["not", "a", "schedule"]),
+    ),
+    "resilience": (
+        {"retry_hard": True},
+        lambda: ClusterBuilder.paper_testbed().resilience(retry_hard=True),
+    ),
+    "observability": (
+        {"tracer": True},
+        lambda: ClusterBuilder.paper_testbed().observability(tracer=True),
+    ),
+    "invariants": (
+        {"trail_depth": 0},
+        lambda: ClusterBuilder.paper_testbed().invariants(trail_depth=0),
+    ),
+    "calibration": (
+        {"bogus": 1},
+        lambda: ClusterBuilder.paper_testbed().calibration(bogus=1),
+    ),
+}
+
+
+class TestSurfaceParity:
+    def test_every_section_has_a_case(self):
+        assert set(PARITY_CASES) == set(SECTIONS)
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_builder_and_config_raise_the_same(self, section):
+        bad, via_builder = PARITY_CASES[section]
+        with pytest.raises(ConfigurationError) as from_config:
+            load_cluster(paper_config(**{section: bad}))
+        with pytest.raises(ConfigurationError) as from_builder:
+            via_builder().build()
+        assert str(from_builder.value) == str(from_config.value)
+
+
+RANKS = ("rank0", "rank1", "rank2")
+PAIRS = [(a, b) for i, a in enumerate(RANKS) for b in RANKS[i + 1:]]
+
+
+class TestThreeFrontDoors:
+    """One 3-node full mesh described as builder calls, as a config dict
+    and as ``MpiWorld.create`` builds the same cluster and the same run."""
+
+    def clusters(self, profile_file):
+        profiles = ProfileStore.load(profile_file)
+        builder = ClusterBuilder("hetero_split").sampling(profiles=profiles)
+        for name in RANKS:
+            builder.add_node(name)
+        for a, b in PAIRS:
+            builder.add_rail("myri10g", a, b)
+            builder.add_rail("quadrics", a, b)
+        config = {
+            "strategy": "hetero_split",
+            "nodes": [{"name": name} for name in RANKS],
+            "rails": [
+                {"driver": driver, "between": [a, b]}
+                for a, b in PAIRS
+                for driver in ("myri10g", "quadrics")
+            ],
+            "sampling": {"profile_file": profile_file},
+        }
+        world = MpiWorld.create(3, profiles=profiles)
+        return builder.build(), load_cluster(config), world.cluster
+
+    @staticmethod
+    def describe(cluster):
+        return {
+            name: (
+                [nic.name for nic in cluster.machines[name].nics],
+                engine.strategy.name,
+                engine.app_core.core_id,
+                engine.pioman.multicore_rx,
+                engine.timeout,
+                engine.max_retries,
+            )
+            for name, engine in sorted(cluster.engines.items())
+        }
+
+    @staticmethod
+    def exchange(cluster):
+        for src, dst in PAIRS + [(b, a) for a, b in PAIRS]:
+            cluster.session(dst).irecv(source=src)
+            cluster.session(src).isend(dst, 1 * MiB)
+        result = cluster.run()
+        return cluster.sim.now, result.events_processed
+
+    def test_same_cluster_and_run(self, profile_file):
+        built, loaded, created = self.clusters(profile_file)
+        assert self.describe(built) == self.describe(loaded)
+        assert self.describe(built) == self.describe(created)
+        assert (
+            self.exchange(built) == self.exchange(loaded) == self.exchange(created)
+        )
+
+    def test_create_numbers_nics_pair_major(self, profile_file):
+        world = MpiWorld.create(5, profiles=ProfileStore.load(profile_file))
+        names = [nic.name for nic in world.cluster.machines["rank0"].nics]
+        assert names == [
+            "myri10g0", "quadrics1", "myri10g2", "quadrics3",
+            "myri10g4", "quadrics5", "myri10g6", "quadrics7",
+        ]
