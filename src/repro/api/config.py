@@ -261,16 +261,38 @@ SECTIONS: Dict[str, Callable[[Any], Any]] = {
 _TOP_LEVEL_KEYS = frozenset({"version", "nodes", "rails", "fabric", *SECTIONS})
 
 
-def _load_dict(source: ConfigSource) -> Dict[str, Any]:
+def read_config(source: ConfigSource) -> Dict[str, Any]:
+    """The config dict of ``source`` (a dict or a JSON file path), with
+    its top-level keys and ``version`` checked; sections are not."""
     if isinstance(source, dict):
-        return source
-    path = Path(source)
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read cluster config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+        config = source
+    else:
+        path = Path(source)
+        try:
+            config = json.loads(path.read_text())
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read cluster config {path}: {exc}"
+            ) from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigurationError(
+                f"{path}: cluster config must be a JSON object, "
+                f"not {type(config).__name__}"
+            )
+    unknown = set(config) - _TOP_LEVEL_KEYS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config keys {sorted(unknown)}; known: {sorted(_TOP_LEVEL_KEYS)}"
+        )
+    version = config.get("version", 1)
+    if version not in _SUPPORTED_VERSIONS:
+        raise ConfigurationError(
+            f"unsupported config version {version!r}; "
+            f"supported: {sorted(_SUPPORTED_VERSIONS)}"
+        )
+    return config
 
 
 def _add_topology(builder: "ClusterBuilder", config: Dict[str, Any]) -> None:
@@ -325,18 +347,7 @@ def builder_from_config(source: ConfigSource) -> "ClusterBuilder":
     """Build a :class:`ClusterBuilder` from a config dict or JSON file."""
     from repro.api.cluster import ClusterBuilder
 
-    config = _load_dict(source)
-    unknown = set(config) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config keys {sorted(unknown)}; known: {sorted(_TOP_LEVEL_KEYS)}"
-        )
-    version = config.get("version", 1)
-    if version not in _SUPPORTED_VERSIONS:
-        raise ConfigurationError(
-            f"unsupported config version {version!r}; "
-            f"supported: {sorted(_SUPPORTED_VERSIONS)}"
-        )
+    config = read_config(source)
     builder = ClusterBuilder()
     _add_topology(builder, config)
     for section in SECTIONS:

@@ -962,21 +962,14 @@ def _collectives_demo() -> None:
 def _cmd_topology(
     shape: str, nodes: int, rails: str, config_path: Optional[str]
 ) -> int:
+    from repro.api.config import read_config
     from repro.bench.runners import default_profiles
     from repro.hardware.topology import Fabric
     from repro.util.errors import ConfigurationError
 
     try:
         if config_path:
-            import json as _json
-            from pathlib import Path
-
-            try:
-                config = _json.loads(Path(config_path).read_text())
-            except (OSError, _json.JSONDecodeError) as exc:
-                print(f"cannot read {config_path}: {exc}", file=sys.stderr)
-                return 2
-            spec = config.get("fabric")
+            spec = read_config(config_path).get("fabric")
             if spec is None:
                 print(
                     f"{config_path} has no 'fabric' section "

@@ -10,25 +10,20 @@ Every experiment in this repository funnels through three hot paths:
   :meth:`~repro.core.prediction.CompletionPredictor.plan`.
 
 This module times all three plus the wall-clock of a representative
-figure-benchmark slice — and, since the calendar-queue/batched-pricing
-PR, the large-N event storm (where the calendar backend earns its keep)
-and the vectorized candidate-pricing path.  The collectives PR adds two
-*simulated-time* metrics on top: the ring-vs-naive all-to-all speedup on
-an 8-rank switched fabric and the RailS-balancer-vs-uniform-striping
-speedup on a skewed traffic matrix (module
-:mod:`repro.bench.experiments.collectives`).  The observability PR adds
-the obs-overhead section: obs-off runs must stay bit-identical to the
-committed BENCH_PR7 simulated tables, and obs-on wall-clock overhead is
-recorded for the event-storm and 8-rank collective scenarios.  The
-numbers are recorded in ``BENCH_PR8.json`` at the repository root,
-extending the trajectory that started with ``BENCH_PR1.json``;
-:func:`load_trajectory` walks
-every committed ``BENCH_PR*.json`` so the CLI can show the whole
-history.  ``python -m repro.bench.cli perf --smoke`` (or ``make
-bench-smoke``) re-measures quickly and fails when any guarded metric
-regresses more than 30% against the committed baseline (5% for the
-simulated collective speedups — those are deterministic, so any drift
-is a code change, not noise).
+figure-benchmark slice, a large-N event storm (a quarter-million
+pending events drained through the heap) and the vectorized
+candidate-pricing path.  Two *simulated-time* metrics ride on top: the
+ring-vs-naive all-to-all speedup on an 8-rank switched fabric and the
+RailS-balancer-vs-uniform-striping speedup on a skewed traffic matrix
+(module :mod:`repro.bench.experiments.collectives`).  The guard
+compares against ``BENCH_PR8.json`` at the repository root, the latest
+file in the trajectory that started with ``BENCH_PR1.json``;
+:func:`load_trajectory` walks every committed ``BENCH_PR*.json`` so the
+CLI can show the whole history.  ``python -m repro.bench.cli perf
+--smoke`` (or ``make bench-smoke``) re-measures quickly and fails when
+any guarded metric regresses more than 30% against the committed
+baseline (5% for the simulated collective speedups — those are
+deterministic, so any drift is a code change, not noise).
 
 All wall-clock rates are best-of-``repeats`` to shave scheduler noise;
 the absolute rates are machine-dependent, only the committed
@@ -74,10 +69,9 @@ def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
 
     best = float("inf")
     for _ in range(max(1, repeats)):
-        # Collect before timing so one run's garbage (a drained 1M-event
-        # storm leaves plenty) cannot bill a GC pause to the next run —
-        # the A/B pairs in collect_pr6_payload alternate backends in one
-        # process and would otherwise cross-contaminate.
+        # Collect before timing so one run's garbage (a drained event
+        # storm leaves plenty) cannot bill a GC pause to the next run or
+        # to the next metric measured in the same process.
         gc.collect()
         t0 = time.perf_counter()
         fn()
@@ -94,17 +88,12 @@ def bench_event_throughput(
     n_events: int = 100_000,
     cancel_every: int = 7,
     repeats: int = 3,
-    auto_calendar: bool = True,
 ) -> float:
     """Events/sec through a full schedule→(some cancels)→drain cycle.
 
     A seventh of the events are cancelled after scheduling, so the lazy
     cancel drain is part of the measured path — exactly as in engine
     runs, where NIC-idle watchdogs are frequently cancelled.
-
-    ``auto_calendar=False`` pins the binary-heap backend — the exact
-    pre-calendar kernel — which is how the BENCH_PR6 baseline column is
-    measured without checking out old code.
     """
     from repro.simtime import Simulator
 
@@ -112,7 +101,7 @@ def bench_event_throughput(
         pass
 
     def run_once() -> None:
-        sim = Simulator(auto_calendar=auto_calendar)
+        sim = Simulator()
         cancels = []
         for i in range(n_events):
             ev = sim.schedule(float(i % 97) + i * 1e-3, nop)
@@ -151,16 +140,11 @@ def bench_estimator_throughput(n_calls: int = 100_000, repeats: int = 3) -> floa
     return n_calls / _best_seconds(run_once, repeats)
 
 
-def bench_event_storm(
-    n_events: int = 1_000_000, repeats: int = 3, auto_calendar: bool = True
-) -> float:
-    """Events/sec on the large-N storm where backend choice dominates.
+def bench_event_storm(n_events: int = 1_000_000, repeats: int = 3) -> float:
+    """Events/sec on a large-N storm: deep heap, O(log n) sifts.
 
-    Everything is scheduled up front (pending count far above the
-    calendar high-water mark) and then drained — retry storms and
-    open-loop workload injections look exactly like this.  With
-    ``auto_calendar=True`` the queue migrates to the bucketed backend
-    and pops become O(1); ``False`` measures the same storm on the heap.
+    Everything is scheduled up front and then drained — retry storms
+    and open-loop workload injections look exactly like this.
     """
     from repro.simtime import Simulator
 
@@ -168,7 +152,7 @@ def bench_event_storm(
         pass
 
     def run_once() -> None:
-        sim = Simulator(auto_calendar=auto_calendar)
+        sim = Simulator()
         for i in range(n_events):
             sim.schedule(float(i % 997) + i * 1e-4, nop)
         sim.run()
@@ -213,19 +197,6 @@ def bench_pricing_throughput(
                 )
 
     return n_calls * n_candidates / _best_seconds(run_once, repeats)
-
-
-def bench_soak_throughput(seeds: int = 12, jobs: int = 1) -> float:
-    """Chaos-soak scenarios/sec through the (optionally sharded) runner.
-
-    Single-shot — a scenario is a full cluster build + drain, so the
-    usual best-of-repeats would triple an already substantial runtime
-    for little noise reduction.
-    """
-    from repro.bench.parallel import parallel_soak
-
-    report = parallel_soak(range(seeds), jobs=jobs)
-    return report.scenarios_per_sec
 
 
 def _paper_plan_inputs():
@@ -450,119 +421,6 @@ def render_comparison(deltas: Dict, label: str) -> str:
 
 
 # --------------------------------------------------------------------- #
-# BENCH_PR6 payload generation
-# --------------------------------------------------------------------- #
-
-
-def collect_pr6_payload(
-    repeats: int = 3, soak_seeds: int = 12, soak_jobs: Optional[int] = None
-) -> Dict:
-    """Measure the BENCH_PR6 payload: heap/scalar baseline vs calendar/
-    batched current, interleaved on this machine.
-
-    The baseline column re-runs the *same harness* with the old code
-    paths pinned — ``Simulator(auto_calendar=False)`` for the kernel and
-    the scalar pricing loop — so both columns come from one process on
-    one machine, back to back per metric (no checkout juggling, no
-    cross-machine noise).  The parallel-soak section records measured
-    scenarios/sec at ``--jobs 1`` vs ``--jobs N`` alongside this host's
-    CPU count: the speedup is only as honest as the cores behind it.
-    """
-    import os
-
-    from repro.bench.parallel import resolve_jobs
-
-    soak_jobs = resolve_jobs(soak_jobs)
-    baseline: Dict[str, float] = {}
-    current: Dict[str, float] = {}
-
-    def pair(metric: str, base_fn: Callable[[], float], cur_fn: Callable[[], float]):
-        best_b, best_c = 0.0, 0.0
-        for _ in range(max(1, repeats)):
-            best_b = max(best_b, base_fn())
-            best_c = max(best_c, cur_fn())
-        baseline[metric] = best_b
-        current[metric] = best_c
-
-    pair(
-        "events_per_s",
-        lambda: bench_event_throughput(auto_calendar=False, repeats=1),
-        lambda: bench_event_throughput(auto_calendar=True, repeats=1),
-    )
-    pair(
-        "events_large_n_per_s",
-        lambda: bench_event_storm(auto_calendar=False, repeats=1),
-        lambda: bench_event_storm(auto_calendar=True, repeats=1),
-    )
-    # Baseline column = the PR 5 way of pricing the same candidate grid
-    # (one scalar table call per cell); speedup for this metric is the
-    # batch-vs-scalar ratio the acceptance criteria name.
-    pair(
-        "pricing_batch_per_s",
-        lambda: bench_pricing_throughput(batch=False, repeats=1),
-        lambda: bench_pricing_throughput(batch=True, repeats=1),
-    )
-    # Unpaired metrics: same code both sides, committed for the guard
-    # and the trajectory (measured once, current == the going rate).
-    for metric, fn in (
-        ("estimates_per_s", lambda: bench_estimator_throughput(repeats=2)),
-        ("splits_cold_per_s", lambda: bench_split_throughput(same_shape=False, repeats=2)),
-        ("splits_cached_per_s", lambda: bench_split_throughput(same_shape=True, repeats=2)),
-        ("fig_slice_wall_s", lambda: bench_fig_slice()),
-    ):
-        current[metric] = fn()
-    # The scalar path still exists in this commit (it is the batch
-    # paths' bit-equality oracle), so its going rate is part of
-    # `current` too — that is what `perf` runs re-measure and render.
-    current["pricing_scalar_per_s"] = baseline["pricing_batch_per_s"]
-
-    soak_serial = bench_soak_throughput(seeds=soak_seeds, jobs=1)
-    soak_sharded = bench_soak_throughput(seeds=soak_seeds, jobs=soak_jobs)
-    speedup = {
-        m: (
-            baseline[m] / current[m]
-            if m.endswith("_wall_s")
-            else current[m] / baseline[m]
-        )
-        for m in baseline
-        if m in current and baseline[m] and current[m]
-    }
-    return {
-        "schema": 1,
-        "pr": 6,
-        "description": (
-            "Perf trajectory for the calendar-queue/batched-pricing/"
-            "parallel-soak PR. 'baseline' pins the PR 5 code paths in "
-            "this same harness (heap event queue via Simulator("
-            "auto_calendar=False), scalar candidate-pricing loop); "
-            "'current' is this commit (adaptive calendar queue, "
-            "vectorized price_candidates). Both columns interleaved on "
-            "one machine, per-metric best of N alternations. The "
-            "parallel_soak section records measured chaos-soak "
-            "scenarios/sec at --jobs 1 vs --jobs N on this host — "
-            "sharding gains scale with physical cores, so host_cpus is "
-            "part of the record."
-        ),
-        "harness": "python -m repro.bench.cli perf  (module repro.bench.perfstats)",
-        "guard": {
-            m: f"perf --smoke fails on >{int(tol * 100)}% drop vs 'current'"
-            for m, tol in GUARDED_METRICS.items()
-        },
-        "baseline": baseline,
-        "current": current,
-        "speedup": speedup,
-        "parallel_soak": {
-            "seeds": soak_seeds,
-            "host_cpus": os.cpu_count(),
-            "jobs": soak_jobs,
-            "scenarios_per_s_jobs1": soak_serial,
-            "scenarios_per_s_jobsN": soak_sharded,
-            "speedup": soak_sharded / soak_serial if soak_serial else 0.0,
-        },
-    }
-
-
-# --------------------------------------------------------------------- #
 # BENCH_PR7 payload generation
 # --------------------------------------------------------------------- #
 
@@ -605,158 +463,4 @@ def collect_pr7_payload(smoke: bool = False) -> Dict:
         "current": collect_perfstats(smoke=smoke),
         "alltoall_flat_switch": C.alltoall_table(),
         "skewed_alltoallv_fat_tree": C.skewed_table(),
-    }
-
-
-# --------------------------------------------------------------------- #
-# BENCH_PR8 payload generation (fabric observability)
-# --------------------------------------------------------------------- #
-
-
-def _run_collective_8r(observability: bool) -> float:
-    """Makespan (simulated µs) of an obs-on/off 8-rank ring alltoall."""
-    from repro.api.mpi import MpiWorld
-    from repro.bench.runners import default_profiles
-    from repro.hardware.topology import Fabric
-
-    rails = ("myri10g", "quadrics")
-    world = MpiWorld.create(
-        fabric=Fabric.flat(8, rails=rails),
-        profiles=default_profiles(rails),
-        observability=observability,
-    )
-
-    def program(comm):
-        yield from comm.alltoall(256 * 1024, algorithm="ring")
-
-    world.spawn_all(program)
-    world.run()
-    return world.cluster.sim.now
-
-
-def _run_message_storm(observability: bool, messages: int = 400) -> float:
-    """Makespan (simulated µs) of a small-message storm on the paper
-    testbed — every engine obs hook (send/complete counters, flight
-    ring, async spans) on the hot path."""
-    from repro.api import ClusterBuilder
-
-    builder = ClusterBuilder.paper_testbed(strategy="hetero_split")
-    if observability:
-        builder.observability()
-    cluster = builder.build()
-    a, b = cluster.sessions("node0", "node1")
-    for i in range(messages):
-        b.irecv(source="node0")
-        a.isend("node1", 4096, tag=i)
-    cluster.run()
-    return cluster.sim.now
-
-
-def _obs_overhead_pair(run, repeats: int) -> Dict[str, float]:
-    """Wall-clock off/on comparison + simulated-timestamp identity."""
-    makespans: Dict[bool, float] = {}
-
-    def once(obs_on: bool) -> None:
-        makespans[obs_on] = run(obs_on)
-
-    off_wall = _best_seconds(lambda: once(False), repeats)
-    on_wall = _best_seconds(lambda: once(True), repeats)
-    return {
-        "off_wall_s": off_wall,
-        "on_wall_s": on_wall,
-        "overhead_frac": (on_wall - off_wall) / off_wall if off_wall else 0.0,
-        "makespan_off_us": makespans[False],
-        "makespan_on_us": makespans[True],
-        "timestamps_identical": makespans[False] == makespans[True],
-    }
-
-
-def obs_off_bit_equality(smoke: bool = False) -> Dict:
-    """Re-measure the obs-off simulated tables; compare against the
-    committed BENCH_PR7 sections bit-for-bit.
-
-    Obs-off runs go through exactly the PR 7 code path (every hook is
-    one ``obs.on`` read against the null bundle), so the deterministic
-    collective tables must serialize byte-identically to what PR 7
-    committed.  ``smoke`` restricts to the 8-rank row — the 128-rank
-    point alone dominates the full table's runtime.
-    """
-    from repro.bench.experiments import collectives as C
-
-    ranks = (8,) if smoke else (8, 32, 128)
-    pr7 = load_baseline(repo_root() / "BENCH_PR7.json") or {}
-    fresh = C.alltoall_table(ranks=ranks)
-    committed = [
-        row
-        for row in pr7.get("alltoall_flat_switch", [])
-        if row.get("ranks") in set(ranks)
-    ]
-    alltoall_ok = bool(committed) and json.dumps(
-        fresh, sort_keys=True
-    ) == json.dumps(committed, sort_keys=True)
-    out: Dict[str, object] = {
-        "ranks": list(ranks),
-        "alltoall_flat_switch_identical": alltoall_ok,
-    }
-    if not smoke:
-        skew = C.skewed_table()
-        out["skewed_alltoallv_fat_tree_identical"] = json.dumps(
-            skew, sort_keys=True
-        ) == json.dumps(pr7.get("skewed_alltoallv_fat_tree"), sort_keys=True)
-    return out
-
-
-def collect_pr8_payload(smoke: bool = False) -> Dict:
-    """Measure the BENCH_PR8 payload: fabric observability overhead.
-
-    Three sections on top of the usual ``current`` kernel metrics:
-    ``obs_off_bit_equality`` proves the obs-off collective tables still
-    serialize byte-identically to the committed BENCH_PR7 file;
-    ``obs_overhead`` records obs-on wall-clock cost (and asserts the
-    simulated makespan does not move) for the message-storm and 8-rank
-    collective scenarios; the simulated tables themselves are carried
-    forward so the trajectory file stays self-contained.
-    """
-    from repro.bench.experiments import collectives as C
-
-    repeats = 2 if smoke else 3
-    return {
-        "schema": 1,
-        "pr": 8,
-        "description": (
-            "Fabric-scale observability: link/spine utilization "
-            "accounting, collective critical-path profiler, flight "
-            "recorder.  'obs_off_bit_equality' re-measures the obs-off "
-            "simulated collective tables and compares them bit-for-bit "
-            "against the committed BENCH_PR7.json — the obs-off path "
-            "must stay the PR 7 path exactly.  'obs_overhead' records "
-            "obs-on vs obs-off wall clock for a 400-message storm on "
-            "the paper testbed and an 8-rank ring alltoall on a flat "
-            "switch; 'timestamps_identical' asserts the simulated "
-            "makespan is bit-equal either way (the obs contract).  "
-            "'current' holds this host's wall-clock kernel rates plus "
-            "the guarded simulated speedups, as every perf PR before."
-        ),
-        "harness": (
-            "python -m repro.bench.cli perf  "
-            "(payload: repro.bench.perfstats.collect_pr8_payload)"
-        ),
-        "guard": {
-            m: f"perf --smoke fails on >{int(tol * 100)}% drop vs 'current'"
-            for m, tol in GUARDED_METRICS.items()
-        },
-        "current": collect_perfstats(smoke=smoke),
-        "obs_off_bit_equality": obs_off_bit_equality(smoke=smoke),
-        "obs_overhead": {
-            "message_storm_400x4K": _obs_overhead_pair(
-                _run_message_storm, repeats
-            ),
-            "alltoall_ring_8r": _obs_overhead_pair(
-                _run_collective_8r, repeats
-            ),
-        },
-        "alltoall_flat_switch": C.alltoall_table(
-            ranks=(8,) if smoke else (8, 32, 128)
-        ),
-        "skewed_alltoallv_fat_tree": None if smoke else C.skewed_table(),
     }

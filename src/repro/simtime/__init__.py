@@ -14,7 +14,7 @@ Two programming styles are supported and freely mixable:
   :class:`AllOf`, :class:`AnyOf`) just like SimPy processes.
 """
 
-from repro.simtime.events import CalendarQueue, EventQueue, ScheduledEvent
+from repro.simtime.events import EventQueue, ScheduledEvent
 from repro.simtime.simulator import Simulator
 from repro.simtime.process import (
     Process,
@@ -27,7 +27,6 @@ from repro.simtime.process import (
 from repro.simtime.resources import Resource, ResourceRequest
 
 __all__ = [
-    "CalendarQueue",
     "EventQueue",
     "ScheduledEvent",
     "Simulator",

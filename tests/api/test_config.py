@@ -130,6 +130,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             builder_from_config(str(path))
 
+    @pytest.mark.parametrize(
+        "body, kind",
+        [('[{"fabric": 1}]', "list"), ("[1, 2]", "list"), ("7", "int")],
+        ids=["list_of_objects", "list_of_ints", "number"],
+    )
+    def test_non_object_file_rejected(self, tmp_path, body, kind):
+        path = tmp_path / "list.json"
+        path.write_text(body)
+        with pytest.raises(
+            ConfigurationError, match=f"must be a JSON object, not {kind}"
+        ):
+            load_cluster(str(path))
+
     def test_unsupported_version_rejected(self):
         with pytest.raises(ConfigurationError, match="unsupported config version"):
             builder_from_config(paper_config(version=99))

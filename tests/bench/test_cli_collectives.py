@@ -56,6 +56,26 @@ class TestTopology:
         assert main(["topology", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([{"fabric": {"nodes": 2}}], "must be a JSON object, not list"),
+            (
+                {"fabric": {"nodes": 2}, "fabrik": {}},
+                "unknown config keys ['fabrik']",
+            ),
+            ({"version": 99, "fabric": {"nodes": 2}}, "unsupported config version"),
+        ],
+        ids=["list", "unknown_key", "bad_version"],
+    )
+    def test_config_checked_like_load_cluster(self, tmp_path, capsys, config, message):
+        """``topology --config`` reads the file through the config loader:
+        the same top-level and version checks, exit 2 with its message."""
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps(config))
+        assert main(["topology", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCollectivesCommand:
     def test_requires_a_flag(self, capsys):

@@ -1,8 +1,16 @@
-"""Unit tests for the event-queue primitives."""
+"""Unit tests for the event-queue primitives.
 
-import pytest
+The hypothesis property at the bottom drives :class:`EventQueue` and a
+sorted-list reference model with identical random push/cancel/pop
+streams and asserts the observation streams match exactly: the heap
+pops in the ``(time, priority, seq)`` total order, nothing else.
+"""
 
-from repro.simtime.events import EventQueue
+from bisect import insort
+
+from hypothesis import given, settings, strategies as st
+
+from repro.simtime.events import COMPACT_MIN_DEAD, EventQueue
 
 
 def nop():
@@ -158,3 +166,148 @@ class TestDrainConsistency:
         assert q.pop() is live  # pop drains the cancelled head first
         assert q.peek_time() is None
         assert len(q) == 0
+
+
+class TestSeqOrdering:
+    def test_same_time_pushes_keep_order_across_a_deep_heap(self):
+        """A same-time event pushed after thousands of others (and after
+        the heap grew and shrank) still fires after the earlier one: the
+        ``seq`` counter never resets."""
+        q = EventQueue()
+        order = []
+        q.push(1e9, order.append, ("early-push",))
+        for i in range(5000):
+            q.push(float(i), nop)
+        while len(q) > 1:
+            q.pop()
+        q.push(1e9, order.append, ("late-push",))
+        while (ev := q.pop()) is not None:
+            ev.callback(*ev.args)
+        assert order == ["early-push", "late-push"]
+
+
+class TestMassCancellationAccounting:
+    """Regression: a retry storm cancelling thousands of watchdogs used
+    to leave the storage full of tombstones — ``__len__`` said "almost
+    empty" while ``peek_time`` still faced an O(d log d) drain and the
+    entries pinned memory until the clock swept past them."""
+
+    def test_len_and_storage_agree_after_mass_cancel(self):
+        q = EventQueue()
+        keep = q.push(1e6, nop)
+        doomed = [q.push(float(i), nop) for i in range(4 * COMPACT_MIN_DEAD)]
+        for ev in doomed:
+            q.cancel(ev)
+        assert len(q) == 1
+        # Compaction must have reclaimed the tombstones: storage is
+        # bounded by a small constant over the live population, not by
+        # the historical cancellation volume.
+        assert q.storage_size <= COMPACT_MIN_DEAD + 1
+        assert q.peek_time() == 1e6
+        assert q.pop() is keep
+
+    def test_compaction_preserves_order_and_cancellability(self):
+        q = EventQueue()
+        live = [q.push(1000.0 + i, nop) for i in range(50)]
+        doomed = [q.push(float(i), nop) for i in range(2 * COMPACT_MIN_DEAD)]
+        for ev in doomed:
+            q.cancel(ev)
+        q.cancel(live[10])  # cancel a survivor after compaction too
+        times = []
+        while (ev := q.pop()) is not None:
+            times.append(ev.time)
+        expected = [1000.0 + i for i in range(50) if i != 10]
+        assert times == expected
+
+
+# --------------------------------------------------------------------- #
+# the reference-model property
+# --------------------------------------------------------------------- #
+
+
+class _SortedListQueue:
+    """Reference scheduler: the live ``(time, priority, seq)`` keys in a
+    sorted list.  Handles are the keys themselves; cancelling a key that
+    already left the list (fired or cancelled) is a no-op."""
+
+    def __init__(self):
+        self._keys = []
+        self._seq = 0
+
+    def __len__(self):
+        return len(self._keys)
+
+    def push(self, time, callback, args=(), priority=0):
+        key = (time, priority, self._seq)
+        self._seq += 1
+        insort(self._keys, key)
+        return key
+
+    def cancel(self, key):
+        if key in self._keys:
+            self._keys.remove(key)
+
+    def pop_due(self, bound):
+        if not self._keys or (bound is not None and self._keys[0][0] > bound):
+            return None
+        return self._keys.pop(0)
+
+    def pop(self):
+        return self.pop_due(None)
+
+    def peek_time(self):
+        return self._keys[0][0] if self._keys else None
+
+
+#: one operation: (kind, operand) — push gets a time, cancel an index
+#: into the pushed-handle list, pop-due a bound
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+        st.tuples(
+            st.just("pop_due"),
+            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+        ),
+        st.tuples(st.just("pop"), st.just(0)),
+        st.tuples(st.just("peek"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+def _key(ev):
+    if ev is None or isinstance(ev, tuple):
+        return ev
+    return (ev.time, ev.priority, ev.seq)
+
+
+@given(ops=_ops)
+@settings(max_examples=100, deadline=None)
+def test_heap_pops_like_sorted_list_model(ops):
+    """Any push/cancel/pop-due stream observes the same events, in the
+    same order, with the same timestamps, from the heap and the model."""
+    heap, model = EventQueue(), _SortedListQueue()
+    handles = {heap: [], model: []}
+    for kind, arg in ops:
+        obs = []
+        for q in (heap, model):
+            hs = handles[q]
+            if kind == "push":
+                hs.append(q.push(arg, nop))
+                obs.append(("len", len(q)))
+            elif kind == "cancel":
+                if hs:
+                    q.cancel(hs[arg % len(hs)])
+                obs.append(("len", len(q)))
+            elif kind == "pop_due":
+                obs.append(("pop", _key(q.pop_due(arg))))
+            elif kind == "pop":
+                obs.append(("pop", _key(q.pop())))
+            else:
+                obs.append(("peek", q.peek_time()))
+        assert obs[0] == obs[1], (kind, arg, obs)
