@@ -8,7 +8,7 @@ JOBS ?= 0
 
 .PHONY: test bench-smoke perf bench check faults-demo chaos chaos-wide \
         chaos-silent chaos-fabric fabric-demo calibration-demo \
-        collectives-demo bench-parallel soak-parallel loc
+        collectives-demo bench-parallel soak-parallel loc ab
 
 # Tier-1 verify (the ROADMAP contract).
 test:
@@ -19,6 +19,16 @@ loc:
 	@for d in src tests; do \
 		printf '%-6s %s\n' $$d "$$(find $$d -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"; \
 	done
+
+# Interleaved A/B of the repo benchmark (perfbench/run.py --trace 0):
+# BASE (a git revision, or a checkout path) against the working tree.
+BASE ?= HEAD~1
+WORKLOAD ?= coll_alltoall
+PAIRS ?= 10
+SEED ?= 0
+ab:
+	$(PYTHON) tools/ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 # The pre-merge gate: tier-1 tests plus the perf smoke guard.
 check: test bench-smoke

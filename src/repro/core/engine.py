@@ -271,7 +271,7 @@ class NmadEngine:
                 f"{sorted(self._routes)}"
             )
         msg = Message(src=self.machine.name, dest=dest, size=size, tag=tag)
-        msg.done = SimEvent(self.sim, name=f"msg{msg.msg_id}.done")
+        msg.done = SimEvent(self.sim, "msg{}.done", msg.msg_id)
         msg.t_post = self.sim.now
         if self.sendable(msg):
             msg.mode = self.strategy.choose_mode(msg)
@@ -312,18 +312,20 @@ class NmadEngine:
         """Post a receive; its ``done`` event fires with the matched
         message once that message fully arrived."""
         handle = RecvHandle(node=self.machine.name, source=source, tag=tag)
-        handle.done = SimEvent(self.sim, name=f"recv@{self.machine.name}")
-        for msg in self._unexpected:
+        handle.done = SimEvent(self.sim, "recv@{}", self.machine.name)
+        # Matched entries leave by index: the slotted dataclasses compare
+        # by value, so list.remove would call __eq__ on every entry ahead.
+        for i, msg in enumerate(self._unexpected):
             if handle.matches(msg):
-                self._unexpected.remove(msg)
+                del self._unexpected[i]
                 handle.matched = msg
                 handle.done.trigger(msg)
                 return handle
         self._posted_recvs.append(handle)
         # A rendezvous may have been waiting for exactly this buffer.
-        for msg, nic in list(self._pending_rdv):
+        for i, (msg, nic) in enumerate(self._pending_rdv):
             if handle.matches(msg):
-                self._pending_rdv.remove((msg, nic))
+                del self._pending_rdv[i]
                 self._send_rdv_ack(msg, nic)
                 break
         return handle
@@ -697,10 +699,10 @@ class NmadEngine:
         self._cancel_watchdog(msg)
         assert msg.done is not None
         msg.done.trigger(msg)
-        for handle in self._posted_recvs:
+        for i, handle in enumerate(self._posted_recvs):
             if handle.matched is None and handle.matches(msg):
                 handle.matched = msg
-                self._posted_recvs.remove(handle)
+                del self._posted_recvs[i]
                 assert handle.done is not None
                 handle.done.trigger(msg)
                 return

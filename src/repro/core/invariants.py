@@ -606,7 +606,7 @@ class InvariantMonitor:
             for nic in cluster.machines[name].nics:
                 live = [
                     t
-                    for t in nic._pending
+                    for t in nic._pending.values()
                     if not t.aborted and t.t_tx_done is None
                 ]
                 if live:

@@ -2,11 +2,16 @@
 
 Two usage styles, matching the simulator's two styles:
 
-* **process style** — ``yield from core.occupy(cost, label)`` from inside a
-  simulation process: waits for the core, holds it ``cost`` µs, releases;
 * **callback style** — ``core.run(cost, fn, *args)``: queues a work item;
   when the core reaches it, holds the core ``cost`` µs then calls ``fn``.
+  Pipelines with their own steps (the NIC send path) use the parts
+  directly: :meth:`Core.declare`, :meth:`Core.request` and
+  :meth:`Core.release`.  No process is spawned;
+* **process style** — ``yield from core.occupy(cost, label)`` from inside a
+  simulation process (tasklets, compute threads): waits for the core,
+  holds it ``cost`` µs, releases.
 
+NIC and core pipelines are callbacks; a ``Process`` is for user programs.
 Both styles share one FIFO, so PIO copies, tasklet bodies and application
 compute contend for the core exactly as they would on real hardware.
 
@@ -19,9 +24,10 @@ way it is applied to NICs).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, NamedTuple, Optional
 
-from repro.simtime import Resource, Simulator, Timeout
+from repro.simtime import Resource, ResourceRequest, Simulator, Timeout
 from repro.util.errors import SchedulingError
 
 
@@ -107,14 +113,12 @@ class Core:
     # occupancy
     # ------------------------------------------------------------------ #
 
-    def occupy(self, cost: float, label: str = "work", on_start=None):
+    def occupy(self, cost: float, label: str = "work"):
         """Process-style occupancy: ``yield from core.occupy(cost)``.
 
         Declares ``cost`` up front (feeding :attr:`busy_until`), waits for
-        the core FIFO, holds it for ``cost`` µs, then releases.
-        ``on_start`` (if given) is called the instant the core is actually
-        acquired — mirroring :meth:`hold_declared`, for callers that need
-        to timestamp the true start of service.
+        the core FIFO, holds it for ``cost`` µs, then releases.  Used by
+        Marcel tasklets and compute threads, which are processes anyway.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
@@ -122,11 +126,8 @@ class Core:
         req = self._res.request()
         yield req
         start = self.sim.now
-        if on_start is not None:
-            on_start()
         yield Timeout(cost)
-        self._res.release(req)
-        self._record(start, self.sim.now, label)
+        self.release(req, start, label)
 
     def run(
         self,
@@ -136,22 +137,31 @@ class Core:
         label: str = "work",
     ) -> None:
         """Callback-style occupancy: queue ``cost`` µs of work, then call
-        ``callback(*args)`` (if given) the instant the work completes."""
+        ``callback(*args)`` (if given) the instant the work completes.
+
+        Runs as three simulator steps: the core is requested at delay 0
+        (after the caller's own step, never inside it), held from the
+        grant, and released after ``cost`` µs.
+        """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
         self._declare(cost)
+        self.sim.schedule(0.0, self._run_request, cost, label, callback, args)
 
-        def body():
-            req = self._res.request()
-            yield req
-            start = self.sim.now
-            yield Timeout(cost)
-            self._res.release(req)
-            self._record(start, self.sim.now, label)
-            if callback is not None:
-                callback(*args)
+    def _run_request(self, cost, label, callback, args) -> None:
+        self._res.request().subscribe(
+            self.sim, partial(self._run_granted, cost, label, callback, args)
+        )
 
-        self.sim.spawn(body(), name=f"core{self.core_id}.{label}")
+    def _run_granted(self, cost, label, callback, args, req) -> None:
+        self.sim.schedule(
+            cost, self._run_done, req, self.sim.now, label, callback, args
+        )
+
+    def _run_done(self, req, start, label, callback, args) -> None:
+        self.release(req, start, label)
+        if callback is not None:
+            callback(*args)
 
     def declare(self, cost: float) -> None:
         """Pre-announce ``cost`` µs of imminent work (feeds :attr:`busy_until`).
@@ -159,29 +169,25 @@ class Core:
         Used when the work item will start after an external wait (e.g. a
         PIO copy queued behind a NIC transmit engine) but the strategy
         must already see the core as committed.  Pair with
-        :meth:`hold_declared`, which performs the occupancy *without*
-        declaring again.
+        :meth:`request`/:meth:`release`, which perform the occupancy
+        *without* declaring again.
         """
         if cost < 0:
             raise SchedulingError(f"negative occupancy cost: {cost}")
         self._declare(cost)
 
-    def hold_declared(self, cost: float, label: str = "work", on_start=None):
-        """Process-style occupancy for work already announced via
-        :meth:`declare`: ``yield from core.hold_declared(cost)``.
+    def request(self) -> ResourceRequest:
+        """Claim the core's FIFO from a callback step.
 
-        ``on_start`` (if given) is called the instant the core is actually
-        acquired — the precise start of the copy, which timing-sensitive
-        callers (the NIC pipelines) need to timestamp.
+        The caller subscribes its next step to the returned request,
+        holds the core for as long as the work lasts, and hands it back
+        with :meth:`release`.
         """
-        if cost < 0:
-            raise SchedulingError(f"negative occupancy cost: {cost}")
-        req = self._res.request()
-        yield req
-        start = self.sim.now
-        if on_start is not None:
-            on_start()
-        yield Timeout(cost)
+        return self._res.request()
+
+    def release(self, req: ResourceRequest, start: float, label: str) -> None:
+        """Return a claim from :meth:`request`; log ``[start, now]`` as
+        ``label``."""
         self._res.release(req)
         self._record(start, self.sim.now, label)
 

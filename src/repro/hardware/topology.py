@@ -22,7 +22,8 @@ materializes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -181,6 +182,7 @@ class FabricRail:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "FabricRail":
+        _require_mapping(spec, "fabric rail")
         known = {
             "driver", "technology", "kind", "switch_latency", "pod_size",
             "spines", "adaptive", "overrides",
@@ -202,6 +204,13 @@ class FabricRail:
             spines=int(spec.get("spines", 2)),
             adaptive=bool(spec.get("adaptive", True)),
             overrides=dict(spec.get("overrides", {})),
+        )
+
+
+def _require_mapping(spec: Any, what: str) -> None:
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(
+            f"a {what} spec must be a mapping, got {type(spec).__name__} {spec!r}"
         )
 
 
@@ -346,6 +355,7 @@ class Fabric:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "Fabric":
+        _require_mapping(spec, "fabric")
         known = {"nodes", "prefix", "rails"}
         unknown = set(spec) - known
         if unknown:
@@ -364,8 +374,10 @@ class Fabric:
                 f"got {nodes_spec!r}"
             )
         rails_spec = spec.get("rails")
-        if not rails_spec:
-            raise ConfigurationError("fabric needs a non-empty 'rails' list")
+        if not isinstance(rails_spec, (list, tuple)) or not rails_spec:
+            raise ConfigurationError(
+                f"fabric needs a non-empty 'rails' list; got {rails_spec!r}"
+            )
         return cls(
             nodes=nodes,
             rails=tuple(FabricRail.from_dict(r) for r in rails_spec),

@@ -18,6 +18,13 @@ Send pipelines (see package docstring for the full timing model):
   ``size/dma_rate`` with no CPU involvement;
 * *control* — a tiny post on the core, negligible NIC time.
 
+Each pipeline is a fixed chain of stages, so it runs as per-transfer step
+methods that the simulator calls directly, not as a spawned process: a
+step waits for the core or the transmit engine by subscribing its
+successor to a resource request, and holds one by scheduling its
+successor after the hold.  NIC and core pipelines are callbacks;
+``Process`` is for user programs.
+
 Fault model (``repro.faults``): a NIC can be taken *down* (transfers
 pending on its transmit engine are aborted; deliveries addressed to it
 are dropped) and *degraded* (transmit times stretched by ``1/bw_factor``,
@@ -28,6 +35,7 @@ are plain simulator events, so faulty runs stay bit-reproducible.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.hardware.core import Core
@@ -35,7 +43,7 @@ from repro.hardware.machine import Machine
 from repro.networks.profile import NetworkProfile
 from repro.networks.transfer import Transfer, TransferKind, wire_checksum
 from repro.obs import NULL_OBS
-from repro.simtime import Resource, SimEvent, Simulator, Timeout
+from repro.simtime import Resource, SimEvent, Simulator
 from repro.util.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,6 +110,14 @@ class Nic:
         self.driver = driver
         self.profile: NetworkProfile = driver.profile
         self.name = name or f"{self.profile.name}{len(machine.nics)}"
+        self.qualified_name = f"{machine.name}.{self.name}"
+        # Core-work labels, formatted once per NIC (repro.trace reads them)
+        self._post_label = f"post:{self.name}"
+        self._pio_label = f"pio:{self.name}"
+        self._rdv_label = f"rdv-setup:{self.name}"
+        self._ctrl_label = f"ctrl:{self.name}"
+        #: receive-processing label, used by the progress engine
+        self.rx_label = f"rx:{self.name}"
         self.wire: Optional["Wire"] = None
         self._tx = Resource(self.sim, capacity=1, name=f"{self.qualified_name}.tx")
         self._busy_until: float = 0.0
@@ -125,7 +141,9 @@ class Nic:
         self.drop_rules: List[DropRule] = []
         self.fault_log: List[FaultWindow] = []
         self._open_faults: Dict[str, float] = {}  # kind -> window start
-        self._pending: List[Transfer] = []  # submitted, transmit not drained
+        #: submitted, transmit not drained; keyed by ``id(transfer)`` so
+        #: membership never compares the slotted dataclasses by value
+        self._pending: Dict[int, Transfer] = {}
         self.down_listeners: List[Callable[["Nic", List[Transfer]], None]] = []
         self.up_listeners: List[Callable[["Nic"], None]] = []
         self.transfers_aborted: int = 0
@@ -150,10 +168,6 @@ class Nic:
         else:
             state = f"busy until {self._busy_until:.2f}"
         return f"<Nic {self.qualified_name} ({self.profile.name}) {state}>"
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.machine.name}.{self.name}"
 
     # ------------------------------------------------------------------ #
     # strategy-facing state
@@ -213,19 +227,20 @@ class Nic:
         if duration < 0:
             raise SchedulingError(f"negative busy injection: {duration}")
         self._declare(duration)
+        self.sim.schedule(0.0, self._background, duration)
 
-        def body():
-            req = self._tx.request()
-            yield req
-            start = self.sim.now
-            yield Timeout(duration)
-            self._tx.release(req)
-            self.work_log.append(
-                NicWork(start, self.sim.now, TransferKind.RDV_DATA, 0)
-            )
-            self._maybe_notify_idle()
+    def _background(self, duration: float) -> None:
+        self._tx.request().subscribe(
+            self.sim, partial(self._background_granted, duration)
+        )
 
-        self.sim.spawn(body(), name=f"{self.qualified_name}.background")
+    def _background_granted(self, duration, tx) -> None:
+        self.sim.schedule(duration, self._background_done, tx, self.sim.now)
+
+    def _background_done(self, tx, start) -> None:
+        self._tx.release(tx)
+        self.work_log.append(NicWork(start, self.sim.now, TransferKind.RDV_DATA, 0))
+        self._maybe_notify_idle()
 
     # ------------------------------------------------------------------ #
     # fault state machine (driven by repro.faults.FaultInjector)
@@ -243,11 +258,11 @@ class Nic:
             return []
         self._up = False
         self._open_faults["down"] = self.sim.now
-        aborted = [t for t in self._pending if t.t_tx_done is None]
+        aborted = [t for t in self._pending.values() if t.t_tx_done is None]
         for t in aborted:
             t.aborted = True
-            # Unblock offloading cores immediately; the pipeline process
-            # notices the abort at its next resumption and bails.
+            # Unblock offloading cores immediately; the pipeline notices
+            # the abort at its next step and bails.
             if t.tx_done is not None and not t.tx_done.triggered:
                 t.tx_done.trigger(t)
         self.transfers_aborted += len(aborted)
@@ -399,7 +414,7 @@ class Nic:
             self.obs.metrics.counter(f"nic.{self.qualified_name}.aborted").inc()
         if transfer.tx_done is None:
             transfer.tx_done = SimEvent(
-                self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
+                self.sim, "transfer{}.tx_done", transfer.transfer_id
             )
         if not transfer.tx_done.triggered:
             transfer.tx_done.trigger(transfer)
@@ -423,10 +438,10 @@ class Nic:
                 f"core {core.core_id} does not belong to {self.machine.name}"
             )
         if transfer.done is None:
-            transfer.done = SimEvent(self.sim, name=f"transfer{transfer.transfer_id}.done")
+            transfer.done = SimEvent(self.sim, "transfer{}.done", transfer.transfer_id)
         if transfer.tx_done is None:
             transfer.tx_done = SimEvent(
-                self.sim, name=f"transfer{transfer.transfer_id}.tx_done"
+                self.sim, "transfer{}.tx_done", transfer.transfer_id
             )
         transfer.t_submit = self.sim.now
         transfer.nic_name = self.qualified_name
@@ -459,7 +474,7 @@ class Nic:
                 listener(self, [transfer])
             return transfer.done
 
-        self._pending.append(transfer)
+        self._pending[id(transfer)] = transfer
         if transfer.kind is TransferKind.EAGER:
             if transfer.size > self.profile.eager_limit:
                 raise SchedulingError(
@@ -467,22 +482,14 @@ class Nic:
                     f"{self.profile.name} eager limit {self.profile.eager_limit}B"
                 )
             self._declare(self._eager_tx_time(transfer.size))
-            self.sim.spawn(
-                self._eager_pipeline(transfer, core),
-                name=f"{self.qualified_name}.eager{transfer.transfer_id}",
-            )
+            start = self._eager_start
         elif transfer.kind is TransferKind.RDV_DATA:
             self._declare(self._rdv_tx_time(transfer.size))
-            self.sim.spawn(
-                self._rdv_pipeline(transfer, core),
-                name=f"{self.qualified_name}.rdv{transfer.transfer_id}",
-            )
+            start = self._rdv_start
         else:  # control packet
             self._declare(0.0)
-            self.sim.spawn(
-                self._control_pipeline(transfer, core),
-                name=f"{self.qualified_name}.ctrl{transfer.transfer_id}",
-            )
+            start = self._control_start
+        self.sim.schedule(0.0, start, transfer, core)
         return transfer.done
 
     # -- pipelines ---------------------------------------------------------
@@ -502,84 +509,114 @@ class Nic:
         f = self.bw_factor * self.silent_bw_factor
         return t if f == 1.0 else t / f
 
-    def _eager_pipeline(self, transfer: Transfer, core: Core):
+    # Each method below is one simulator step of a transfer.  A step
+    # waits for the core or the transmit engine with
+    # ``req.subscribe(sim, step)`` and holds one with
+    # ``sim.schedule(d, step)``.  Releases grant the next FIFO waiter
+    # inline, so the order of release, record and continuation within a
+    # step is part of the timing model.
+
+    def _service(
+        self, transfer: Transfer, core: Core, cost: float, label: str, then, *args
+    ) -> None:
+        """Send-core service phase shared by every pipeline: declare and
+        queue ``cost`` µs on ``core``, stamp ``t_service_start`` when it
+        is granted, then continue with ``then(transfer, core, *args)`` —
+        or drain the transfer if the link died meanwhile."""
+        core.declare(cost)
+        core.request().subscribe(
+            self.sim,
+            partial(self._service_granted, transfer, core, cost, label, then, args),
+        )
+
+    def _service_granted(self, transfer, core, cost, label, then, args, req) -> None:
+        transfer.t_service_start = now = self.sim.now
+        self.sim.schedule(
+            cost, self._service_done, transfer, core, req, now, label, then, args
+        )
+
+    def _service_done(self, transfer, core, req, start, label, then, args) -> None:
+        core.release(req, start, label)
+        if transfer.aborted:
+            self._finish_aborted(transfer)
+            return
+        then(transfer, core, *args)
+
+    def _eager_start(self, transfer: Transfer, core: Core) -> None:
         # Fixed acquisition order (core, then NIC) rules out deadlock; the
         # core spinning while it waits for NIC doorbell space is also what
         # the hardware does.
-        post = self.profile.post_overhead
         copy = self._eager_tx_time(transfer.size)
-
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            post, label=f"post:{self.name}", on_start=stamp_service
+        self._service(
+            transfer, core, self.profile.post_overhead, self._post_label,
+            self._eager_posted, copy,
         )
-        if transfer.aborted:
-            self._finish_aborted(transfer)
-            return
+
+    def _eager_posted(self, transfer: Transfer, core: Core, copy: float) -> None:
         # Declare the copy before waiting for the transmit engine so
         # strategy queries already see the core as committed to it.
         core.declare(copy)
-        req = self._tx.request()
-        yield req
-        if transfer.aborted:
-            self._tx.release(req)
-            self._finish_aborted(transfer)
-            return
-
-        def stamp_start():
-            transfer.t_cpu_start = self.sim.now
-            transfer.t_wire_start = self.sim.now
-
-        yield from core.hold_declared(copy, label=f"pio:{self.name}", on_start=stamp_start)
-        self._tx.release(req)
-        self._finish_tx(transfer, start=transfer.t_cpu_start)
-
-    def _rdv_pipeline(self, transfer: Transfer, core: Core):
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            self.profile.rdv_send_cpu(),
-            label=f"rdv-setup:{self.name}",
-            on_start=stamp_service,
+        self._tx.request().subscribe(
+            self.sim, partial(self._eager_tx_granted, transfer, core, copy)
         )
+
+    def _eager_tx_granted(self, transfer, core, copy, tx) -> None:
         if transfer.aborted:
+            self._tx.release(tx)
             self._finish_aborted(transfer)
             return
-        req = self._tx.request()
-        yield req
+        core.request().subscribe(
+            self.sim, partial(self._eager_copy, transfer, core, copy, tx)
+        )
+
+    def _eager_copy(self, transfer, core, copy, tx, req) -> None:
+        transfer.t_cpu_start = transfer.t_wire_start = self.sim.now
+        self.sim.schedule(copy, self._eager_copied, transfer, core, tx, req)
+
+    def _eager_copied(self, transfer, core, tx, req) -> None:
+        start = transfer.t_cpu_start
+        core.release(req, start, self._pio_label)
+        self._tx.release(tx)
+        self._finish_tx(transfer, start)
+
+    def _rdv_start(self, transfer: Transfer, core: Core) -> None:
+        self._service(
+            transfer, core, self.profile.rdv_send_cpu(), self._rdv_label,
+            self._rdv_set_up,
+        )
+
+    def _rdv_set_up(self, transfer: Transfer, core: Core) -> None:
+        self._tx.request().subscribe(self.sim, partial(self._rdv_dma, transfer))
+
+    def _rdv_dma(self, transfer, tx) -> None:
         if transfer.aborted:
-            self._tx.release(req)
+            self._tx.release(tx)
             self._finish_aborted(transfer)
             return
         transfer.t_wire_start = self.sim.now
-        yield Timeout(self._rdv_tx_time(transfer.size))
-        self._tx.release(req)
-        self._finish_tx(transfer, start=transfer.t_wire_start)
-
-    def _control_pipeline(self, transfer: Transfer, core: Core):
-        def stamp_service():
-            transfer.t_service_start = self.sim.now
-
-        yield from core.occupy(
-            self.profile.control_send_cpu(),
-            label=f"ctrl:{self.name}",
-            on_start=stamp_service,
+        self.sim.schedule(
+            self._rdv_tx_time(transfer.size), self._rdv_dma_done, transfer, tx
         )
-        if transfer.aborted:
-            self._finish_aborted(transfer)
-            return
+
+    def _rdv_dma_done(self, transfer, tx) -> None:
+        self._tx.release(tx)
+        self._finish_tx(transfer, transfer.t_wire_start)
+
+    def _control_start(self, transfer: Transfer, core: Core) -> None:
+        self._service(
+            transfer, core, self.profile.control_send_cpu(), self._ctrl_label,
+            self._control_posted,
+        )
+
+    def _control_posted(self, transfer: Transfer, core: Core) -> None:
         transfer.t_wire_start = self.sim.now
-        self._finish_tx(transfer, start=self.sim.now)
+        self._finish_tx(transfer, self.sim.now)
 
     def _finish_tx(self, transfer: Transfer, start: float) -> None:
         transfer.t_tx_done = self.sim.now
         if self.inv.on:
             self.inv.on_tx(self, transfer, start, self.sim.now)
-        if transfer in self._pending:
-            self._pending.remove(transfer)
+        self._pending.pop(id(transfer), None)
         self.work_log.append(
             NicWork(start, self.sim.now, transfer.kind, transfer.size)
         )
@@ -626,8 +663,7 @@ class Nic:
 
     def _finish_aborted(self, transfer: Transfer) -> None:
         """Drain an aborted transfer out of the pipeline bookkeeping."""
-        if transfer in self._pending:
-            self._pending.remove(transfer)
+        self._pending.pop(id(transfer), None)
         if transfer.tx_done is not None and not transfer.tx_done.triggered:
             transfer.tx_done.trigger(transfer)
         self._maybe_notify_idle()

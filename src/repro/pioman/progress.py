@@ -142,7 +142,7 @@ class PiomanEngine:
             self._rx_done,
             transfer,
             nic,
-            label=f"rx:{nic.name}",
+            label=nic.rx_label,
         )
 
     def _rx_via_interrupt(self, transfer: Transfer, nic: Nic, core: Core, cost: float) -> None:

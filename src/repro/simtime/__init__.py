@@ -12,6 +12,10 @@ Two programming styles are supported and freely mixable:
 * **process style** — generator coroutines spawned with ``sim.spawn`` that
   ``yield`` waitables (:class:`Timeout`, :class:`SimEvent`,
   :class:`AllOf`, :class:`AnyOf`) just like SimPy processes.
+
+The model's own fixed pipelines (NIC send stages, core work items) are
+callbacks; ``Process`` is for user programs — rank programs, chaos
+drivers, tasklets and compute threads.
 """
 
 from repro.simtime.events import EventQueue, ScheduledEvent

@@ -50,14 +50,24 @@ class SimEvent(Waitable):
     the engine rely on one-shot semantics to catch double completions.
     """
 
-    __slots__ = ("sim", "name", "triggered", "value", "_callbacks")
+    __slots__ = ("sim", "_name", "_ident", "triggered", "value", "_callbacks")
 
-    def __init__(self, sim: Simulator, name: str = "") -> None:
+    def __init__(self, sim: Simulator, name: str = "", ident: Any = None) -> None:
         self.sim = sim
-        self.name = name
+        # With ``ident`` given, ``name`` is a ``str.format`` template that
+        # is filled in only when the name is read: hot paths create one
+        # event per message or transfer and almost never print it.
+        self._name = name
+        self._ident = ident
         self.triggered = False
         self.value: Any = None
         self._callbacks: Optional[List[Any]] = []
+
+    @property
+    def name(self) -> str:
+        if self._ident is None:
+            return self._name
+        return self._name.format(self._ident)
 
     def __repr__(self) -> str:
         state = "set" if self.triggered else "pending"
@@ -171,7 +181,7 @@ class Process(Waitable):
         self.name = name or getattr(gen, "__name__", "process")
         self.alive = True
         self.result: Any = None
-        self._done = SimEvent(sim, name=f"{self.name}.done")
+        self._done = SimEvent(sim, "{}.done", self.name)
         self._wait_token = 0  # invalidates stale waitable callbacks
         sim._processes += 1
         sim.schedule(0.0, self._resume_value, None)

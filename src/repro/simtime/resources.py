@@ -8,6 +8,11 @@ are themselves waitables, so processes can write::
     yield req                  # granted when a slot frees up
     yield Timeout(copy_cost)   # hold the core for the copy duration
     core_resource.release(req)
+
+and callback steps, at the same instants and in the same order::
+
+    core_resource.request().subscribe(sim, granted)    # granted(req)
+    sim.schedule(copy_cost, core_resource.release, req)  # inside granted
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ class MarcelScheduler:
         tasklet.t_created = tasklet.t_created or self.sim.now
         tasklet.t_signalled = self.sim.now
         tasklet.core_id = target.core_id
-        done = SimEvent(self.sim, name=f"{tasklet.name}.done")
+        done = SimEvent(self.sim, "{}.done", tasklet.name)
         if from_core is not None:
             cost = self.machine.topology.signal_cost(
                 from_core.core_id, target.core_id, preempt=victim is not None

@@ -65,8 +65,9 @@ class TestTopology:
                 "unknown config keys ['fabrik']",
             ),
             ({"version": 99, "fabric": {"nodes": 2}}, "unsupported config version"),
+            ({"fabric": 1}, "fabric spec must be a mapping"),
         ],
-        ids=["list", "unknown_key", "bad_version"],
+        ids=["list", "unknown_key", "bad_version", "fabric_not_mapping"],
     )
     def test_config_checked_like_load_cluster(self, tmp_path, capsys, config, message):
         """``topology --config`` reads the file through the config loader:

@@ -274,3 +274,32 @@ class TestBuilderValidation:
         cluster = build("greedy", profiles)
         with pytest.raises(ConfigurationError):
             cluster.session("nebula")
+
+
+class TestCallbackPipelines:
+    def test_exchange_posted_from_callbacks_spawns_no_process(
+        self, profiles, monkeypatch
+    ):
+        """NIC and core pipelines are callbacks; ``Process`` is for user
+        programs.  An eager + rendezvous exchange in both directions,
+        posted from plain callbacks, spawns none."""
+        from repro.simtime import Simulator
+
+        spawned = []
+        monkeypatch.setattr(
+            Simulator, "spawn", lambda self, gen, name="": spawned.append(name)
+        )
+        cluster = build("hetero_split", profiles)
+        sim = cluster.sim
+        a, b = cluster.session("node0"), cluster.session("node1")
+        sent = []
+        for src, dst, peer in ((a, b, "node1"), (b, a, "node0")):
+            for size in (64, 4 * MiB):
+                sim.schedule(0.0, dst.irecv)
+                sim.schedule(1.0, lambda s=src, p=peer, n=size: sent.append(s.isend(p, n)))
+        cluster.run()
+        assert [m.mode for m in sent] == [
+            TransferMode.EAGER, TransferMode.RENDEZVOUS
+        ] * 2
+        assert all(m.status is MessageStatus.COMPLETE for m in sent)
+        assert spawned == []

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.hardware import Core
-from repro.simtime import Simulator, Timeout
+from repro.hardware.core import CoreWork
+from repro.simtime import Simulator
 from repro.util.errors import SchedulingError
 
 
@@ -125,18 +126,21 @@ class TestIdlePrediction:
         sim.run()
         assert sim.now == 16.0  # 10 (idle gap) + start + 4
 
-    def test_declare_hold_declared_pair(self, sim, core):
+    def test_declare_request_release_pair(self, sim, core):
+        """Declared work held later from callback steps, as the NIC does."""
         core.declare(6.0)
         assert core.busy_until == 6.0
 
-        def proc():
-            yield Timeout(2.0)  # external wait (e.g. NIC doorbell)
-            yield from core.hold_declared(6.0, label="pio")
+        def hold(req):
+            sim.schedule(6.0, core.release, req, sim.now, "pio")
 
-        sim.spawn(proc())
+        # external wait (e.g. NIC doorbell) before the core is claimed
+        sim.schedule(2.0, lambda: core.request().subscribe(sim, hold))
         sim.run()
         assert sim.now == 8.0
         assert core.busy_time == 6.0
+        assert core.work_log == [CoreWork(2.0, 8.0, "pio")]
+        assert sim._processes == 0
 
 
 class TestUtilization:

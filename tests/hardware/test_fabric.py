@@ -136,6 +136,21 @@ class TestFabricSerialization:
             )
 
 
+    def test_from_dict_non_mapping_rejected(self):
+        with pytest.raises(ConfigurationError, match="fabric spec must be a mapping"):
+            Fabric.from_dict(1)
+
+    def test_from_dict_non_mapping_rail_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match="fabric rail spec must be a mapping"
+        ):
+            Fabric.from_dict({"nodes": 2, "rails": [1]})
+
+    def test_from_dict_rails_string_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-empty 'rails' list"):
+            Fabric.from_dict({"nodes": 2, "rails": "myri"})
+
+
 class TestDescribe:
     def test_lists_nodes_and_rails(self):
         out = Fabric.paper_testbed().describe()
