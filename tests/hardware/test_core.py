@@ -126,8 +126,12 @@ class TestIdlePrediction:
         sim.run()
         assert sim.now == 16.0  # 10 (idle gap) + start + 4
 
-    def test_declare_request_release_pair(self, sim, core):
+    def test_declare_request_release_pair(self, sim, core, monkeypatch):
         """Declared work held later from callback steps, as the NIC does."""
+        spawned = []
+        monkeypatch.setattr(
+            Simulator, "spawn", lambda self, gen, name="": spawned.append(name)
+        )
         core.declare(6.0)
         assert core.busy_until == 6.0
 
@@ -140,7 +144,7 @@ class TestIdlePrediction:
         assert sim.now == 8.0
         assert core.busy_time == 6.0
         assert core.work_log == [CoreWork(2.0, 8.0, "pio")]
-        assert sim._processes == 0
+        assert spawned == []
 
 
 class TestUtilization:

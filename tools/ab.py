@@ -4,9 +4,9 @@
     make ab BASE=HEAD~1 WORKLOAD=coll_alltoall PAIRS=10
 
 ``--base`` is a git revision, checked out with ``git worktree`` into a
-temporary directory under ``/tmp`` and removed afterwards, or the path
-of an existing checkout, used as it is.  Each pair runs
-``perfbench/run.py --trace 0`` once in each tree, in fresh processes,
+temporary directory (under ``/tmp`` unless ``TMPDIR`` names another)
+and removed afterwards.  Each pair runs ``perfbench/run.py --trace 0``
+for the benchmark's ``run_seconds`` once in each tree, in fresh processes,
 and swaps which side goes first from one pair to the next, so a drift
 of the host's speed during the run hits both sides alike.
 
@@ -70,30 +70,26 @@ def report(metrics: List[Dict], runs: Dict[str, List[Dict]]) -> None:
 
 def main(argv: List[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="git revision or checkout path")
+    ap.add_argument("--base", required=True, help="git revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=10.0)
     args = ap.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
-    worktree = None
-    base = Path(args.base)
-    if not (base / "perfbench" / "run.py").is_file():
-        worktree = Path(tempfile.mkdtemp(prefix="ab-base-", dir="/tmp"))
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(worktree), args.base],
-            cwd=ROOT, check=True, capture_output=True,
-        )
-        base = worktree
+    worktree = Path(tempfile.mkdtemp(prefix="ab-base-"))
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(worktree), args.base],
+        cwd=ROOT, check=True, capture_output=True,
+    )
     try:
         runs: Dict[str, List[Dict]] = {"base": [], "head": []}
-        trees = {"base": base, "head": ROOT}
+        trees = {"base": worktree, "head": ROOT}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                r = run_once(trees[side], args.workload, args.seed, args.seconds)
+                r = run_once(trees[side], args.workload, args.seed, seconds)
                 runs[side].append(r)
                 wall = r["metrics"]["wall_ref_s"]["value"]
                 print(f"pair {i + 1}/{args.pairs} {side}: wall_ref_s {wall:.4g}", flush=True)
@@ -101,11 +97,10 @@ def main(argv: List[str] | None = None) -> int:
               f"base {args.base}")
         report(metrics, runs)
     finally:
-        if worktree is not None:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(worktree)],
-                cwd=ROOT, check=False, capture_output=True,
-            )
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(worktree)],
+            cwd=ROOT, check=False, capture_output=True,
+        )
     return 0
 
 
